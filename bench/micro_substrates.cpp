@@ -19,7 +19,7 @@
 
 #include "core/contention.hpp"
 #include "core/requester_list.hpp"
-#include "core/rts_scheduler.hpp"
+#include "core/scheduler.hpp"
 #include "dsm/object_store.hpp"
 #include "net/network.hpp"
 #include "runtime/cluster.hpp"
@@ -104,7 +104,7 @@ void BM_RtsOnConflict(benchmark::State& state) {
   // until the threshold blocks, then steady-state aborts.
   core::SchedulerConfig cfg;
   cfg.cl_threshold = 4;
-  core::RtsScheduler rts(cfg);
+  core::Scheduler rts(cfg);
   std::uint64_t i = 0;
   for (auto _ : state) {
     core::ConflictContext ctx;
