@@ -6,9 +6,10 @@
 //     by a parent abort / total nested aborts.
 //
 // Counters are relaxed atomics (hot path); the commit-latency histogram is
-// recorded by the TFA runtime under a per-node leaf spinlock (one brief
-// acquisition per root commit — negligible next to the commit round-trips)
-// so live snapshots and measurement-window deltas include percentiles.
+// recorded by the TFA runtime under the per-node leaf Mutex `latency_mu_`
+// (rank kMetrics; one brief acquisition per root commit — negligible next
+// to the commit round-trips) so live snapshots and measurement-window
+// deltas include percentiles.
 // Snapshots are plain structs so benches can diff two snapshots for a
 // measurement window; the diff is saturating (a counter that appears to run
 // backwards — e.g. around a crash window reset — clamps to 0 instead of

@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: bloom filter, online stats, histogram,
-// RNG, config parsing, blocking queue and spinlock.
+// RNG, config parsing and blocking queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +19,6 @@
 #include "util/histogram.hpp"
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
-#include "util/spinlock.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
 
@@ -451,32 +450,6 @@ TEST(BlockingQueue, ConcurrentProducersConsumers) {
   const long long n = kProducers * kPerProducer;
   EXPECT_EQ(count.load(), n);
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-TEST(SpinLock, MutualExclusion) {
-  SpinLock lock;
-  long long counter = 0;
-  {
-    std::vector<std::jthread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&] {
-        for (int i = 0; i < 20000; ++i) {
-          std::scoped_lock lk(lock);
-          ++counter;
-        }
-      });
-    }
-  }
-  EXPECT_EQ(counter, 80000);
-}
-
-TEST(SpinLock, TryLock) {
-  SpinLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
 }
 
 TEST(Time, StopwatchMonotone) {
