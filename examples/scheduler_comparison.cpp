@@ -2,9 +2,9 @@
 // registered policy (RTS, TFA, TFA+Backoff, Bi-interval, Greedy,
 // Karma/Polka, steal-on-abort — see docs/SCHEDULERS.md) on identical
 // clusters and prints a side-by-side summary — a minimal, self-contained
-// version of the paper's evaluation loop, and a template for plugging a
-// *custom* scheduler into the runtime (see core::Scheduler; the registry in
-// core/scheduler_factory.cpp is the only place to add one).
+// version of the paper's evaluation loop. A new policy is one row of the
+// policy table in core/scheduler.cpp (an admission rule and a pop rule);
+// this example then sweeps it like the others.
 //
 //   ./build/examples/scheduler_comparison [--workload=bank] [--nodes=10]
 //   [--read-ratio=0.1] [--duration-ms=400]
