@@ -36,6 +36,13 @@ void OwnerResolver::note_owner(ObjectId oid, NodeId owner) {
   hints_[oid] = owner;
 }
 
+std::optional<NodeId> OwnerResolver::hint(ObjectId oid) const {
+  MutexLock lk(mu_);
+  const auto it = hints_.find(oid);
+  if (it == hints_.end()) return std::nullopt;
+  return it->second;
+}
+
 std::size_t OwnerResolver::hint_count() const {
   MutexLock lk(mu_);
   return hints_.size();

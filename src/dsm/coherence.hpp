@@ -33,6 +33,10 @@ class OwnerResolver {
   // A fetch response told us who the owner is (or we just became it).
   void note_owner(ObjectId oid, NodeId owner);
 
+  // The cached owner of `oid`, without a directory lookup. After this node
+  // hands an object off, it names the new owner.
+  std::optional<NodeId> hint(ObjectId oid) const;
+
   std::size_t hint_count() const;
 
  private:

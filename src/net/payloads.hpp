@@ -83,6 +83,7 @@ struct ObjectResponse {
 struct NotInterested {
   ObjectId oid;
   TxnId txid;
+  std::uint32_t hops = 0;  // forwards so far along hand-offs (< cluster size)
 };
 
 // ---- TFA commit protocol ----

@@ -131,6 +131,91 @@ TEST_F(NodePair, OrphanGrantTriggersNotInterestedForwarding) {
   c2.shutdown();
 }
 
+TEST_F(NodePair, WithdrawalFollowsTheQueueToTheNewOwner) {
+  // A requester parks at node 0, then a commit hands the object and its
+  // queue to node 1 (Alg. 4). The requester's withdrawal still goes to node
+  // 0, the node that parked it; node 0 must pass it on to node 1, or the
+  // entry waits at node 1 until someone serves the queue again.
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.workers_per_node = 0;
+  cfg.scheduler.kind = "steal-on-abort";  // parks every conflicting requester
+  cfg.topology.min_delay = sim_us(5);
+  cfg.topology.max_delay = sim_us(60);
+  Cluster c(cfg);
+  const ObjectId oid{59};
+  c.create_object(std::make_unique<Box>(oid, 1), 0);
+  const TxnId committer = TxnId::make(1, 1);
+  const TxnId waiter = TxnId::make(2, 1);
+
+  // Node 1's transaction locks the object at node 0 for its commit.
+  const Version read_version = c.node(0).store().get(oid)->version;
+  ASSERT_EQ(c.node(0).store().lock(oid, committer, read_version.clock),
+            dsm::ObjectStore::LockResult::kGranted);
+
+  // Node 2's request conflicts with the lock and parks at node 0.
+  net::ObjectRequest req;
+  req.oid = oid;
+  req.txid = waiter;
+  req.mode = net::AccessMode::kWrite;
+  auto parked = c.node(2).request(0, req);
+  const auto park_reply = parked.wait_for(sim_ms(500));
+  ASSERT_TRUE(park_reply.has_value());
+  ASSERT_TRUE(std::get<net::ObjectResponse>(park_reply->payload).enqueued);
+
+  // Node 1 commits: the hand-off returns node 0's queue, which node 1
+  // absorbs next to its new copy.
+  const Version committed{read_version.clock + 1, 1};
+  net::CommitRequest commit;
+  commit.oid = oid;
+  commit.txid = committer;
+  commit.new_version = committed;
+  commit.new_owner = 1;
+  auto handoff = c.node(1).request(0, commit);
+  const auto handoff_reply = handoff.wait_for(sim_ms(500));
+  ASSERT_TRUE(handoff_reply.has_value());
+  c.node(1).store().install(std::make_shared<Box>(oid, 2), committed);
+  c.node(1).scheduler().absorb_queue(
+      oid, std::get<net::CommitResponse>(handoff_reply->payload).queue);
+  ASSERT_EQ(c.node(1).scheduler().queue_depth(oid), 1u);
+
+  // Node 2's backoff expires; it withdraws at the node that parked it.
+  c.node(2).post(0, net::NotInterested{oid, waiter});
+  c.network().wait_idle();
+  EXPECT_EQ(c.node(1).scheduler().queue_depth(oid), 0u);
+  c.shutdown();
+}
+
+TEST_F(NodePair, WithdrawalForwardingStopsOnAHintCycle) {
+  // Stale owner hints can point two non-owners at each other: a late fetch
+  // reply from a former owner overwrites a hint. A withdrawal caught in that
+  // cycle must stop after cluster size - 1 forwards instead of circling.
+  const ObjectId oid{60};
+  cluster->create_object(std::make_unique<Box>(oid), 2);
+  // A hand-off notice points its receiver's hint at the new owner.
+  for (const auto& [at, to] : {std::pair<NodeId, NodeId>{0, 1}, {1, 0}}) {
+    net::CommitRequest notice;
+    notice.oid = oid;
+    notice.txid = TxnId::make(to, 1);
+    notice.new_owner = to;
+    auto call = cluster->node(2).request(at, notice);
+    ASSERT_TRUE(call.wait_for(sim_ms(500)).has_value());
+  }
+
+  cluster->node(2).post(0, net::NotInterested{oid, TxnId::make(2, 1)});
+  auto received = [&] {
+    std::uint64_t n = 0;
+    for (NodeId i = 0; i < cluster->size(); ++i)
+      n += cluster->node(i).metrics().snapshot().not_interested;
+    return n;
+  };
+  // The original plus two forwards (0 -> 1 -> 0), then nothing more.
+  for (int i = 0; i < 2000 && received() < 3; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(received(), 3u);
+}
+
 TEST_F(NodePair, WaitForTimesOutCleanly) {
   // A request whose reply is slower than the timeout: wait_for returns
   // nothing and the system keeps running (the late reply becomes an orphan).
