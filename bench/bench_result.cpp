@@ -97,8 +97,6 @@ BenchPoint& BenchPoint::from_metrics(const runtime::MetricsSnapshot& delta, doub
   metric("enqueued", delta.enqueued);
   metric("handoffs", delta.handoffs_received);
   metric("backoff_expired", delta.backoff_expired);
-  metric("open_nested_commits", delta.open_nested_commits);
-  metric("compensations_run", delta.compensations_run);
 
   const auto& lat = delta.latency;
   metric("latency_count", lat.count());

@@ -1,22 +1,15 @@
-// Extension bench: the three nesting models of §I on the same Bank
-// workload —
+// Extension bench: two of §I's nesting models on the same Bank workload —
 //   flat    each parent inlines all account operations (a child abort is a
 //           parent abort; everything re-fetches),
-//   closed  the paper's model (children retry alone; RTS can park parents),
-//   open    each leg commits immediately with a registered compensation
-//           (maximum concurrency, paid for in compensation machinery).
+//   closed  the paper's model (children retry alone; RTS can park parents).
 //
-// Two open variants: a stateless parent (pure fire-and-forget legs, the
-// parent itself cannot abort) and `open+audit`, whose parent also writes a
-// per-node audit account — giving it commit-time state, real parent aborts,
-// and therefore compensation traffic. Conservation must hold for all four;
-// for the open variants that exercises the compensation path. Expected
-// shape: stateless open far ahead (no isolation across legs); open+audit
-// shows the compensation churn eroding that gain; closed trades child-commit
-// validation round-trips for cheaper recovery vs flat.
+// Conservation must hold for both. Expected shape: closed trades
+// child-commit validation round-trips for cheaper recovery vs flat.
 //
 // Usage: ext_nesting_models [--nodes=12] ...
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "bench/bench_result.hpp"
 #include "bench/common.hpp"
@@ -27,32 +20,14 @@ using namespace hyflow::bench;
 
 namespace {
 
-enum class Style { kFlat, kClosed, kOpen, kOpenAudit };
-
-// Bank with the transfer's nesting style swapped out.
-class StyledBank : public workloads::BankWorkload {
+// Bank with each transfer's closed-nested legs inlined into the parent.
+class FlatBank : public workloads::BankWorkload {
  public:
-  StyledBank(const workloads::WorkloadConfig& cfg, Style style)
-      : BankWorkload(cfg), style_(style) {}
-
-  void setup(runtime::Cluster& cluster) override {
-    BankWorkload::setup(cluster);
-    // One extra zero-balance "audit marker" account per node: the open-style
-    // parent writes its own node's marker (a no-op deposit), giving the
-    // parent real commit-time state — contended only by that node's workers —
-    // so parent aborts and the compensation path occur at a realistic rate.
-    markers_.clear();
-    for (NodeId n = 0; n < cluster.size(); ++n) {
-      const ObjectId oid = workloads::make_oid(workloads::IdSpace::kBankAccount,
-                                               100000 + n);
-      cluster.create_object(std::make_unique<workloads::Account>(oid, 0), n);
-      markers_.push_back(oid);
-    }
-  }
+  using BankWorkload::BankWorkload;
 
   Op next_op(NodeId node, Xoshiro256& rng) override {
     Op op = BankWorkload::next_op(node, rng);
-    if (op.is_read || style_ == Style::kClosed) return op;  // reuse closed shape
+    if (op.is_read) return op;  // reads keep their closed shape
 
     const auto& all = accounts();
     const int legs_n = 1 + static_cast<int>(rng.below(
@@ -66,42 +41,15 @@ class StyledBank : public workloads::BankWorkload {
       legs.push_back(Leg{all[rng.below(all.size())], all[rng.below(all.size())],
                          static_cast<std::int64_t>(rng.range(1, 25))});
     }
-    if (style_ == Style::kFlat) {
-      op.body = [this, legs](tfa::Txn& tx) {
-        for (const Leg& leg : legs) {  // inlined: no inner transactions
-          tx.write<workloads::Account>(leg.from).withdraw(leg.amount);
-          tx.write<workloads::Account>(leg.to).deposit(leg.amount);
-          do_local_work();
-        }
-      };
-    } else {  // open nesting with compensations
-      // kOpenAudit: the parent additionally writes its node's audit marker,
-      // so it carries commit-time state of its own and can abort — running
-      // the compensations. kOpen: a stateless parent that never aborts.
-      const bool audit = style_ == Style::kOpenAudit;
-      const ObjectId marker = markers_[node];
-      op.body = [this, legs, marker, audit](tfa::Txn& tx) {
-        if (audit) tx.write<workloads::Account>(marker).deposit(0);
-        for (const Leg& leg : legs) {
-          tx.open_nested(
-              [this, leg](tfa::Txn& child) {
-                child.write<workloads::Account>(leg.from).withdraw(leg.amount);
-                child.write<workloads::Account>(leg.to).deposit(leg.amount);
-                do_local_work();
-              },
-              [leg](tfa::Txn& comp) {
-                comp.write<workloads::Account>(leg.from).deposit(leg.amount);
-                comp.write<workloads::Account>(leg.to).withdraw(leg.amount);
-              });
-        }
-      };
-    }
+    op.body = [this, legs](tfa::Txn& tx) {
+      for (const Leg& leg : legs) {  // inlined: no inner transactions
+        tx.write<workloads::Account>(leg.from).withdraw(leg.amount);
+        tx.write<workloads::Account>(leg.to).deposit(leg.amount);
+        do_local_work();
+      }
+    };
     return op;
   }
-
- private:
-  Style style_;
-  std::vector<ObjectId> markers_;
 };
 
 }  // namespace
@@ -116,20 +64,20 @@ int main(int argc, char** argv) {
   bench.meta("nodes", static_cast<std::int64_t>(nodes));
   bench.meta("read_ratio", opt.read_ratio_high);
 
-  print_header("Extension: flat vs closed vs open nesting (Bank, RTS)", opt);
+  print_header("Extension: flat vs closed nesting (Bank, RTS)", opt);
   std::printf("# nodes=%u read-ratio=%.2f\n\n", nodes, opt.read_ratio_high);
-  std::printf("%-8s %10s %12s %12s %14s %10s\n", "style", "txn/s", "aborts/c",
-              "nested-cmts", "compensations", "verified");
+  std::printf("%-8s %10s %12s %12s %10s\n", "style", "txn/s", "aborts/c", "nested-cmts",
+              "verified");
 
-  const Style styles[] = {Style::kFlat, Style::kClosed, Style::kOpen, Style::kOpenAudit};
-  const char* names[] = {"flat", "closed", "open", "open+audit"};
-  for (int s = 0; s < 4; ++s) {
+  for (const bool flat : {true, false}) {
+    const char* style = flat ? "flat" : "closed";
     workloads::WorkloadConfig wcfg;
     wcfg.read_ratio = opt.read_ratio_high;
     wcfg.objects_per_node = opt.objects_per_node;
     wcfg.max_nested = opt.max_nested;
     wcfg.local_work = opt.local_work;
-    StyledBank bank(wcfg, styles[s]);
+    std::unique_ptr<workloads::BankWorkload> bank =
+        flat ? std::make_unique<FlatBank>(wcfg) : std::make_unique<workloads::BankWorkload>(wcfg);
 
     runtime::ExperimentConfig ecfg;
     ecfg.cluster.nodes = nodes;
@@ -140,32 +88,20 @@ int main(int argc, char** argv) {
     ecfg.cluster.topology.max_delay = opt.max_delay;
     ecfg.warmup = opt.warmup;
     ecfg.measure = opt.measure;
-    const auto r = runtime::run_experiment(bank, ecfg);
+    const auto r = runtime::run_experiment(*bank, ecfg);
 
-    // Open-nested children run as independent root transactions and are
-    // counted in commits_root; subtract them (and their compensations) so
-    // the throughput column compares *parent* transactions across styles.
-    const std::uint64_t parents = r.delta.commits_root -
-                                  std::min(r.delta.commits_root,
-                                           r.delta.open_nested_commits +
-                                               r.delta.compensations_run);
-    const double window_secs =
-        static_cast<double>(opt.measure) * 1e-9;
-    const double parent_throughput = static_cast<double>(parents) / window_secs;
-    const double commits = std::max<double>(1.0, static_cast<double>(parents));
-    std::printf("%-8s %10.1f %12.2f %12llu %14llu %10s\n", names[s], parent_throughput,
+    const double commits = std::max<double>(1.0, static_cast<double>(r.delta.commits_root));
+    std::printf("%-8s %10.1f %12.2f %12llu %10s\n", style, r.throughput,
                 static_cast<double>(r.delta.aborts_total()) / commits,
                 static_cast<unsigned long long>(r.delta.nested_commits),
-                static_cast<unsigned long long>(r.delta.compensations_run),
                 r.verified ? "yes" : "NO");
     std::fflush(stdout);
     bench.add_point()
-        .label("style", names[s])
+        .label("style", style)
         .label("workload", "bank")
         .label("scheduler", "rts")
         .label("nodes", static_cast<std::int64_t>(nodes))
-        .from_experiment(r)
-        .metric("parent_throughput", parent_throughput);
+        .from_experiment(r);
   }
   write_bench_json(bench, opt);
   return 0;

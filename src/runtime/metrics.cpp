@@ -27,8 +27,6 @@ MetricsSnapshot& MetricsSnapshot::operator+=(const MetricsSnapshot& other) {
   conflicts_seen += other.conflicts_seen;
   wrong_owner_retries += other.wrong_owner_retries;
   forwardings += other.forwardings;
-  open_nested_commits += other.open_nested_commits;
-  compensations_run += other.compensations_run;
   rpc_retries += other.rpc_retries;
   dedup_hits += other.dedup_hits;
   watchdog_aborts += other.watchdog_aborts;
@@ -58,8 +56,6 @@ MetricsSnapshot MetricsSnapshot::operator-(const MetricsSnapshot& other) const {
   d.conflicts_seen = sat_sub(d.conflicts_seen, other.conflicts_seen);
   d.wrong_owner_retries = sat_sub(d.wrong_owner_retries, other.wrong_owner_retries);
   d.forwardings = sat_sub(d.forwardings, other.forwardings);
-  d.open_nested_commits = sat_sub(d.open_nested_commits, other.open_nested_commits);
-  d.compensations_run = sat_sub(d.compensations_run, other.compensations_run);
   d.rpc_retries = sat_sub(d.rpc_retries, other.rpc_retries);
   d.dedup_hits = sat_sub(d.dedup_hits, other.dedup_hits);
   d.watchdog_aborts = sat_sub(d.watchdog_aborts, other.watchdog_aborts);
@@ -92,8 +88,6 @@ MetricsSnapshot NodeMetrics::snapshot() const {
   s.conflicts_seen = conflicts_seen_.load(std::memory_order_relaxed);
   s.wrong_owner_retries = wrong_owner_retries_.load(std::memory_order_relaxed);
   s.forwardings = forwardings_.load(std::memory_order_relaxed);
-  s.open_nested_commits = open_nested_commits_.load(std::memory_order_relaxed);
-  s.compensations_run = compensations_run_.load(std::memory_order_relaxed);
   s.rpc_retries = rpc_retries_.load(std::memory_order_relaxed);
   s.dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
   s.watchdog_aborts = watchdog_aborts_.load(std::memory_order_relaxed);

@@ -45,8 +45,6 @@ struct MetricsSnapshot {
   std::uint64_t conflicts_seen = 0;
   std::uint64_t wrong_owner_retries = 0;
   std::uint64_t forwardings = 0;
-  std::uint64_t open_nested_commits = 0;
-  std::uint64_t compensations_run = 0;
   // Degradation counters (fault tolerance layer).
   std::uint64_t rpc_retries = 0;        // requests re-sent after a timeout
   std::uint64_t dedup_hits = 0;         // duplicate requests answered from cache
@@ -99,10 +97,6 @@ class NodeMetrics {
   void add_conflict_seen() { conflicts_seen_.fetch_add(1, std::memory_order_relaxed); }
   void add_wrong_owner_retry() { wrong_owner_retries_.fetch_add(1, std::memory_order_relaxed); }
   void add_forwarding() { forwardings_.fetch_add(1, std::memory_order_relaxed); }
-  void add_open_nested_commit() {
-    open_nested_commits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void add_compensation_run() { compensations_run_.fetch_add(1, std::memory_order_relaxed); }
   void add_rpc_retry() { rpc_retries_.fetch_add(1, std::memory_order_relaxed); }
   void add_dedup_hit() { dedup_hits_.fetch_add(1, std::memory_order_relaxed); }
   void add_watchdog_abort() { watchdog_aborts_.fetch_add(1, std::memory_order_relaxed); }
@@ -131,8 +125,6 @@ class NodeMetrics {
   std::atomic<std::uint64_t> conflicts_seen_{0};
   std::atomic<std::uint64_t> wrong_owner_retries_{0};
   std::atomic<std::uint64_t> forwardings_{0};
-  std::atomic<std::uint64_t> open_nested_commits_{0};
-  std::atomic<std::uint64_t> compensations_run_{0};
   std::atomic<std::uint64_t> rpc_retries_{0};
   std::atomic<std::uint64_t> dedup_hits_{0};
   std::atomic<std::uint64_t> watchdog_aborts_{0};

@@ -64,18 +64,6 @@ class Txn {
   // captured locals are NOT rolled back — only transactional object state is.
   void nested(const std::function<void(Txn&)>& body);
 
-  // Runs `body` as an OPEN-nested transaction (§I/II's third nesting
-  // model): the child commits independently and its effects become globally
-  // visible immediately — they are NOT part of the enclosing transaction.
-  // If the enclosing root later aborts, `compensation` runs (as its own
-  // transaction, newest-first) to undo the child at the abstract level.
-  //
-  // Open-nesting caveats (by design, as in the literature): the child reads
-  // *committed* global state, not the parent's uncommitted writes; and the
-  // compensation must be semantically inverse, not byte-inverse.
-  void open_nested(const std::function<void(Txn&)>& body,
-                   std::function<void(Txn&)> compensation = nullptr);
-
   // Workload-requested restart of the whole transaction.
   [[noreturn]] void retry() { throw AbortException{AbortCause::kUserRetry, 0}; }
 

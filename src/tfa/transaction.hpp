@@ -17,8 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "tfa/rwset.hpp"
 #include "util/time.hpp"
@@ -94,12 +92,6 @@ class Transaction {
   // Children committed in the current attempt (rolled back — and counted —
   // if the root aborts).
   std::uint32_t nested_committed = 0;
-
-  // Open nesting (root-only): compensating actions registered by committed
-  // open-nested children. An open-nested child's effects are globally
-  // visible the moment it commits; if the enclosing root aborts, these run
-  // (in reverse registration order) to undo the children *abstractly*.
-  std::vector<std::function<void(class Txn&)>> compensations;
 
  private:
   TxnId id_;
