@@ -12,6 +12,10 @@ Modes:
       --min-commits root commits (default 50) are skipped as noise — tiny
       smoke windows commit a handful of transactions and their ratios are
       meaningless.
+  bench_diff.py --fig6 FIG4_FILE FIG5_FILE
+      Print Figure 6 (RTS throughput over TFA and over TFA+Backoff, low
+      contention from fig4_throughput_low output, high from
+      fig5_throughput_high output) for every node count both files share.
   bench_diff.py --self-test
       Run the built-in synthetic checks (used by ctest); exit 0 iff they pass.
 
@@ -148,10 +152,60 @@ def compare(baseline, candidate, opts):
     return regressions
 
 
-def make_doc(points):
+# Figure 6's bars: RTS over each competitor, per contention level.
+FIG6_BENCHES = ("fig4_throughput_low", "fig5_throughput_high")
+FIG6_BASELINES = ("tfa", "backoff")
+
+
+def fig6_rows(low, high):
+    """Figure 6 as rows of (nodes, workload, [speedups]) for the node counts
+    both docs cover. Speedups are RTS throughput over tfa and backoff at low,
+    then at high contention; None where a point is missing or has no
+    throughput."""
+    tables = [{(p["labels"].get("nodes"), p["labels"].get("workload"),
+                p["labels"].get("scheduler")): p["metrics"]["throughput"]
+               for p in doc["points"] if "throughput" in p["metrics"]}
+              for doc in (low, high)]
+    shared = {k[0] for k in tables[0]} & {k[0] for k in tables[1]} - {None}
+    workloads = dict.fromkeys(k[1] for table in tables for k in table)
+    rows = []
+    for nodes in sorted(shared, key=lambda n: (len(n), n)):
+        for workload in workloads:
+            speedups = []
+            for table in tables:
+                rts = table.get((nodes, workload, "rts"))
+                for baseline in FIG6_BASELINES:
+                    other = table.get((nodes, workload, baseline))
+                    speedups.append(rts / other if rts is not None and other
+                                    else None)
+            rows.append((nodes, workload, speedups))
+    return rows
+
+
+def print_fig6(rows):
+    def cell(value, width):
+        return f"{value:{width - 1}.2f}x" if value is not None else f"{'-':>{width}}"
+
+    header = (f"{'benchmark':<12} | {'TFA(low)':>10} {'Backoff(low)':>14} | "
+              f"{'TFA(high)':>10} {'Backoff(high)':>14}")
+    for nodes in dict.fromkeys(r[0] for r in rows):
+        group = [(workload, s) for n, workload, s in rows if n == nodes]
+        print(f"# Figure 6 at nodes={nodes}: RTS throughput / competitor throughput")
+        print(header)
+        print("-" * len(header))
+        for workload, s in group:
+            print(f"{workload:<12} | {cell(s[0], 10)} {cell(s[1], 14)} | "
+                  f"{cell(s[2], 10)} {cell(s[3], 14)}")
+        low, high = (max([v for _, s in group for v in s[i:i + 2] if v is not None]
+                         or [0.0]) for i in (0, 2))
+        print(f"# max speedup: {low:.2f}x (low) / {high:.2f}x (high); "
+              "paper: 1.53x / 1.88x\n")
+
+
+def make_doc(points, bench="synthetic"):
     return {
         "schema_version": SCHEMA_VERSION,
-        "bench": "synthetic",
+        "bench": bench,
         "meta": {"git_sha": "selftest"},
         "points": points,
     }
@@ -219,6 +273,19 @@ def self_test():
         check("NaN metric rejected", False)
     except SchemaError:
         check("NaN metric rejected", True)
+    # Figure 6 covers only the node counts both files share: 8 here, not the
+    # fig4-only 4 or the fig5-only 16.
+    def fig_point(nodes, scheduler, throughput):
+        return make_point({"workload": "bank", "scheduler": scheduler,
+                           "nodes": nodes}, throughput, 500.0)
+    low = make_doc([fig_point(n, s, t) for n in ("4", "8")
+                    for s, t in (("rts", 300.0), ("tfa", 200.0),
+                                 ("backoff", 250.0))], FIG6_BENCHES[0])
+    high = make_doc([fig_point(n, s, t) for n in ("8", "16")
+                     for s, t in (("rts", 180.0), ("tfa", 100.0),
+                                  ("backoff", 0.0))], FIG6_BENCHES[1])
+    check("fig6 reads the shared node counts",
+          fig6_rows(low, high) == [("8", "bank", [1.5, 1.2, 1.8, None])])
 
     if failures:
         print(f"self-test: {len(failures)} check(s) failed")
@@ -233,6 +300,8 @@ def main(argv):
                         help="BASELINE CANDIDATE, or files for --validate")
     parser.add_argument("--validate", action="store_true",
                         help="schema-check the given files instead of diffing")
+    parser.add_argument("--fig6", action="store_true",
+                        help="print Figure 6 from FIG4_FILE and FIG5_FILE")
     parser.add_argument("--self-test", action="store_true",
                         help="run built-in synthetic checks")
     parser.add_argument("--max-throughput-drop", type=float, default=0.15,
@@ -263,15 +332,30 @@ def main(argv):
         return 0
 
     if len(opts.files) != 2:
-        parser.error("compare mode needs exactly BASELINE and CANDIDATE")
+        parser.error("--fig6 needs FIG4_FILE and FIG5_FILE" if opts.fig6 else
+                     "compare mode needs exactly BASELINE and CANDIDATE")
     try:
-        baseline = load(opts.files[0])
-        candidate = load(opts.files[1])
-        validate_doc(baseline, opts.files[0])
-        validate_doc(candidate, opts.files[1])
+        docs = [load(path) for path in opts.files]
+        for doc, path in zip(docs, opts.files):
+            validate_doc(doc, path)
     except SchemaError as exc:
         print(f"INVALID: {exc}")
         return 1
+
+    if opts.fig6:
+        for doc, path, bench in zip(docs, opts.files, FIG6_BENCHES):
+            if doc["bench"] != bench:
+                print(f"INVALID: {path}: expected a {bench} file, "
+                      f"got {doc['bench']!r}")
+                return 1
+        rows = fig6_rows(*docs)
+        if not rows:
+            print("no node count appears in both files")
+            return 1
+        print_fig6(rows)
+        return 0
+
+    baseline, candidate = docs
 
     print(f"comparing {opts.files[0]} (baseline) vs {opts.files[1]}")
     regressions = compare(baseline, candidate, opts)
