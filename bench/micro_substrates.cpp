@@ -1,5 +1,5 @@
-// google-benchmark microbenchmarks for the substrates: bloom filter, online
-// stats, histogram, blocking queue, contention tracker, requester list,
+// google-benchmark microbenchmarks for the substrates: online stats,
+// histogram, blocking queue, contention tracker, requester list,
 // scheduler decisions, object store operations, topology lookups and a full
 // network round-trip. These quantify the per-message and per-decision costs
 // underlying the macro results.
@@ -25,31 +25,12 @@
 #include "runtime/cluster.hpp"
 #include "net/rpc.hpp"
 #include "util/blocking_queue.hpp"
-#include "util/bloom_filter.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace hyflow {
 namespace {
-
-void BM_BloomInsert(benchmark::State& state) {
-  BloomFilter filter(1 << 14, 7);
-  std::uint64_t key = 0;
-  for (auto _ : state) {
-    filter.insert(key++);
-    if ((key & 0x3ff) == 0) filter.clear();
-  }
-}
-BENCHMARK(BM_BloomInsert);
-
-void BM_BloomQuery(benchmark::State& state) {
-  BloomFilter filter(1 << 14, 7);
-  for (std::uint64_t k = 0; k < 1000; ++k) filter.insert(k);
-  std::uint64_t key = 0;
-  for (auto _ : state) benchmark::DoNotOptimize(filter.maybe_contains(key++));
-}
-BENCHMARK(BM_BloomQuery);
 
 void BM_OnlineStatsAdd(benchmark::State& state) {
   OnlineStats stats;

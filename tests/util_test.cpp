@@ -1,5 +1,5 @@
-// Unit tests for the util substrate: bloom filter, online stats, histogram,
-// RNG, config parsing and blocking queue.
+// Unit tests for the util substrate: online stats, histogram, RNG, config
+// parsing and blocking queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "util/blocking_queue.hpp"
-#include "util/bloom_filter.hpp"
 #include "util/config.hpp"
 #include "util/histogram.hpp"
 #include "util/json_writer.hpp"
@@ -24,58 +23,6 @@
 
 namespace hyflow {
 namespace {
-
-// ---------------------------------------------------------------- Bloom ----
-
-TEST(BloomFilter, NoFalseNegatives) {
-  BloomFilter filter(1 << 12, 5);
-  for (std::uint64_t k = 0; k < 500; ++k) filter.insert(k * 7919);
-  for (std::uint64_t k = 0; k < 500; ++k) EXPECT_TRUE(filter.maybe_contains(k * 7919));
-}
-
-TEST(BloomFilter, FalsePositiveRateNearTheory) {
-  BloomFilter filter(1 << 14, 7);
-  for (std::uint64_t k = 0; k < 1000; ++k) filter.insert(k);
-  std::size_t false_positives = 0;
-  const std::size_t probes = 20000;
-  for (std::uint64_t k = 0; k < probes; ++k) {
-    if (filter.maybe_contains(1'000'000 + k)) ++false_positives;
-  }
-  const double measured = static_cast<double>(false_positives) / probes;
-  // Theory predicts ~1%; accept up to 4x.
-  EXPECT_LT(measured, 4 * std::max(filter.estimated_fpr(), 0.01));
-}
-
-TEST(BloomFilter, ClearResets) {
-  BloomFilter filter(1 << 10, 4);
-  filter.insert(42);
-  EXPECT_TRUE(filter.maybe_contains(42));
-  EXPECT_EQ(filter.inserted(), 1u);
-  filter.clear();
-  EXPECT_FALSE(filter.maybe_contains(42));
-  EXPECT_EQ(filter.inserted(), 0u);
-  EXPECT_DOUBLE_EQ(filter.fill_ratio(), 0.0);
-}
-
-TEST(BloomFilter, FillRatioGrowsWithInserts) {
-  BloomFilter filter(1 << 10, 4);
-  double last = filter.fill_ratio();
-  for (int round = 0; round < 4; ++round) {
-    for (std::uint64_t k = 0; k < 64; ++k)
-      filter.insert(static_cast<std::uint64_t>(round) * 1000 + k);
-    const double now = filter.fill_ratio();
-    EXPECT_GT(now, last);
-    last = now;
-  }
-  EXPECT_LE(last, 1.0);
-}
-
-TEST(BloomFilter, RoundsBitsUpToPowerOfTwo) {
-  BloomFilter filter(1000, 3);
-  EXPECT_EQ(filter.bit_count(), 1024u);
-  BloomFilter tiny(1, 1);
-  EXPECT_EQ(tiny.bit_count(), 64u);
-}
 
 // ---------------------------------------------------------------- Stats ----
 
