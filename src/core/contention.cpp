@@ -5,7 +5,6 @@
 namespace hyflow::core {
 
 void ContentionTracker::record_request(ObjectId oid, TxnId txid, SimTime now) {
-  MutexLock lk(mu_);
   auto& samples = recent_[oid];
   prune(samples, now);
   const auto it = std::find_if(samples.begin(), samples.end(),
@@ -20,7 +19,6 @@ void ContentionTracker::record_request(ObjectId oid, TxnId txid, SimTime now) {
 }
 
 std::uint32_t ContentionTracker::local_cl(ObjectId oid, SimTime now) const {
-  MutexLock lk(mu_);
   auto it = recent_.find(oid);
   if (it == recent_.end()) return 0;
   prune(it->second, now);
@@ -28,7 +26,6 @@ std::uint32_t ContentionTracker::local_cl(ObjectId oid, SimTime now) const {
 }
 
 void ContentionTracker::forget(ObjectId oid) {
-  MutexLock lk(mu_);
   recent_.erase(oid);
 }
 

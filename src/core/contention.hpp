@@ -13,7 +13,6 @@
 #include <unordered_map>
 
 #include "dsm/object_id.hpp"
-#include "util/mutex.hpp"
 #include "util/time.hpp"
 
 namespace hyflow::core {
@@ -39,12 +38,11 @@ class ContentionTracker {
     TxnId txid;
     SimTime at;
   };
-  void prune(std::deque<Sample>& samples, SimTime now) const REQUIRES(mu_);
+  void prune(std::deque<Sample>& samples, SimTime now) const;
 
   SimDuration window_;
-  mutable Mutex mu_{LockRank::kContention, "ContentionTracker::mu"};
   // mutable: reads prune expired samples in place.
-  mutable std::unordered_map<ObjectId, std::deque<Sample>> recent_ GUARDED_BY(mu_);
+  mutable std::unordered_map<ObjectId, std::deque<Sample>> recent_;
 };
 
 }  // namespace hyflow::core

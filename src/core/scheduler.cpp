@@ -10,9 +10,8 @@ namespace hyflow::core {
 
 namespace {
 
-// What an admission rule sees, under the scheduler's mutex: the conflict, the
-// object's list (already purged of the requester's stale entry), the config
-// and Karma's loss book.
+// What an admission rule sees: the conflict, the object's list (already
+// purged of the requester's stale entry), the config and Karma's loss book.
 struct Admission {
   const ConflictContext& ctx;
   const RequesterList& list;
@@ -140,6 +139,9 @@ const SchedulerPolicy* find_policy(const std::string& kind) {
   return nullptr;
 }
 
+// Karma/Polka: seed of the randomized exponential backoff drawn on loss.
+constexpr std::uint64_t kKarmaSeed = 0x5eed;
+
 const SchedulerPolicy& policy_or_die(const std::string& kind) {
   if (const SchedulerPolicy* p = find_policy(kind)) return *p;
   // A misspelled policy silently falling back to a default would corrupt
@@ -157,12 +159,11 @@ const SchedulerPolicy& policy_or_die(const std::string& kind) {
 }  // namespace
 
 Scheduler::Scheduler(const SchedulerConfig& cfg)
-    : policy_(policy_or_die(cfg.kind)), cfg_(cfg), losses_{{}, Xoshiro256(cfg.karma_seed)} {}
+    : policy_(policy_or_die(cfg.kind)), cfg_(cfg), losses_{{}, Xoshiro256(kKarmaSeed)} {}
 
 const char* Scheduler::name() const { return policy_.name; }
 
 ConflictDecision Scheduler::on_conflict(const ConflictContext& ctx) {
-  MutexLock lk(mu_);
   RequesterList& list = lists_[ctx.oid];
   // Alg. 3 line 10: a requester whose backoff expired re-requests as a new
   // transaction attempt; purge its stale queue entry first.
@@ -189,7 +190,6 @@ ConflictDecision Scheduler::on_conflict(const ConflictContext& ctx) {
 }
 
 std::vector<net::QueuedRequester> Scheduler::on_object_available(ObjectId oid) {
-  MutexLock lk(mu_);
   const auto it = lists_.find(oid);
   if (it == lists_.end()) return {};
   auto group = policy_.readers_first ? it->second.pop_readers_first()
@@ -199,7 +199,6 @@ std::vector<net::QueuedRequester> Scheduler::on_object_available(ObjectId oid) {
 }
 
 std::vector<net::QueuedRequester> Scheduler::extract_queue(ObjectId oid) {
-  MutexLock lk(mu_);
   const auto it = lists_.find(oid);
   if (it == lists_.end()) return {};
   auto all = it->second.drain();
@@ -209,7 +208,6 @@ std::vector<net::QueuedRequester> Scheduler::extract_queue(ObjectId oid) {
 
 void Scheduler::absorb_queue(ObjectId oid, std::vector<net::QueuedRequester> queue) {
   if (queue.empty()) return;
-  MutexLock lk(mu_);
   RequesterList& list = lists_[oid];
   for (auto& r : queue) {
     list.remove_duplicate(r.txid);
@@ -218,7 +216,6 @@ void Scheduler::absorb_queue(ObjectId oid, std::vector<net::QueuedRequester> que
 }
 
 void Scheduler::remove_requester(ObjectId oid, TxnId txid) {
-  MutexLock lk(mu_);
   const auto it = lists_.find(oid);
   if (it == lists_.end()) return;
   it->second.remove_duplicate(txid);
@@ -226,20 +223,17 @@ void Scheduler::remove_requester(ObjectId oid, TxnId txid) {
 }
 
 std::size_t Scheduler::queue_depth(ObjectId oid) const {
-  MutexLock lk(mu_);
   const auto it = lists_.find(oid);
   return it == lists_.end() ? 0 : it->second.size();
 }
 
 std::size_t Scheduler::total_queued() const {
-  MutexLock lk(mu_);
   std::size_t total = 0;
   for (const auto& [oid, list] : lists_) total += list.size();
   return total;
 }
 
 std::uint32_t Scheduler::loss_streak(NodeId node, SimTime ets_start) const {
-  MutexLock lk(mu_);
   const auto it = losses_.streaks.find({node, ets_start});
   return it == losses_.streaks.end() ? 0 : it->second;
 }

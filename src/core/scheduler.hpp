@@ -13,7 +13,8 @@
 //                     is pushed to it on unlock/commit (RTS)
 //
 // One class serves every policy: it owns Alg. 1's scheduling_List (object ->
-// RequesterList) under one mutex. The row named by `cfg.kind` supplies only
+// RequesterList). It is single-threaded; the node's owner lock serializes
+// its calls (docs/CONCURRENCY.md). The row named by `cfg.kind` supplies only
 // an admission rule (abort, abort with a stall, or enqueue at a rank) and a
 // pop rule (the head group, or bi-interval's readers first); duplicate
 // removal, the enqueue backoff, `bk`, rank-ordered parking, the Alg. 4
@@ -30,7 +31,6 @@
 #include "core/requester_list.hpp"
 #include "dsm/object_id.hpp"
 #include "net/payloads.hpp"
-#include "util/mutex.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -70,8 +70,6 @@ struct SchedulerConfig {
   // steal-on-abort): a conflicting requester that would make the per-object
   // queue longer than this aborts instead of parking.
   std::uint32_t max_queue = 16;
-  // Karma/Polka: seed of the randomized exponential backoff drawn on loss.
-  std::uint64_t karma_seed = 0x5eed;
 };
 
 struct SchedulerPolicy;  // a row of the policy table (scheduler.cpp)
@@ -121,11 +119,8 @@ class Scheduler {
  private:
   const SchedulerPolicy& policy_;
   const SchedulerConfig cfg_;
-  // RequesterList carries no annotations: its instances live inside `lists_`
-  // and are only ever reached through `mu_` (see docs/CONCURRENCY.md).
-  mutable Mutex mu_{LockRank::kSchedulerQueue, "Scheduler::mu"};
-  std::unordered_map<ObjectId, RequesterList> lists_ GUARDED_BY(mu_);
-  LossBook losses_ GUARDED_BY(mu_);
+  std::unordered_map<ObjectId, RequesterList> lists_;
+  LossBook losses_;
 };
 
 // Constructs the scheduler for `cfg.kind`; dies on an unknown kind.

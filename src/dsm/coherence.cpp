@@ -6,7 +6,6 @@
 namespace hyflow::dsm {
 
 std::optional<NodeId> OwnerResolver::find_owner(ObjectId oid) {
-  if (store_.owns(oid)) return comm_.self();
   {
     MutexLock lk(mu_);
     auto it = hints_.find(oid);
@@ -41,11 +40,6 @@ std::optional<NodeId> OwnerResolver::hint(ObjectId oid) const {
   const auto it = hints_.find(oid);
   if (it == hints_.end()) return std::nullopt;
   return it->second;
-}
-
-std::size_t OwnerResolver::hint_count() const {
-  MutexLock lk(mu_);
-  return hints_.size();
 }
 
 }  // namespace hyflow::dsm

@@ -1,18 +1,18 @@
 // Requester-side driver of the cache-coherence protocol: resolve an
 // object's current owner ("Find_owner" in Alg. 2).
 //
-// Resolution order: (1) this node's own store — the TM proxy's local-cache
-// check; (2) the per-node owner-hint cache, filled by previous fetches;
-// (3) an RPC to the object's home-node directory shard. A `wrong_owner`
-// response from a stale hint invalidates it and forces a fresh directory
-// lookup.
+// Resolution order: (1) the per-node owner-hint cache, filled by previous
+// fetches; (2) an RPC to the object's home-node directory shard. A
+// `wrong_owner` response from a stale hint invalidates it and forces a fresh
+// directory lookup. The TM proxy's local-cache check, "does this node own
+// it?", comes first and reads the store, so tfa::TfaRuntime makes it under
+// the node's owner lock before it asks the resolver.
 #pragma once
 
 #include <optional>
 #include <unordered_map>
 
 #include "dsm/object_id.hpp"
-#include "dsm/object_store.hpp"
 #include "net/comm.hpp"
 #include "util/mutex.hpp"
 
@@ -20,8 +20,7 @@ namespace hyflow::dsm {
 
 class OwnerResolver {
  public:
-  OwnerResolver(net::Comm& comm, const ObjectStore& local_store)
-      : comm_(comm), store_(local_store) {}
+  explicit OwnerResolver(net::Comm& comm) : comm_(comm) {}
 
   // Blocking (performs a directory RPC on cache miss). Returns nullopt only
   // if the directory has no entry or the cluster is shutting down.
@@ -37,11 +36,8 @@ class OwnerResolver {
   // hands an object off, it names the new owner.
   std::optional<NodeId> hint(ObjectId oid) const;
 
-  std::size_t hint_count() const;
-
  private:
   net::Comm& comm_;
-  const ObjectStore& store_;
   mutable Mutex mu_{LockRank::kOwnerHints, "OwnerResolver::mu"};
   std::unordered_map<ObjectId, NodeId> hints_ GUARDED_BY(mu_);
 };

@@ -5,14 +5,12 @@
 namespace hyflow::dsm {
 
 void DirectoryShard::publish(ObjectId oid, NodeId owner) {
-  MutexLock lk(mu_);
   auto [it, inserted] = entries_.emplace(oid, Entry{owner, 0});
   HYFLOW_ASSERT_MSG(inserted, "object published twice");
   (void)it;
 }
 
 std::optional<NodeId> DirectoryShard::lookup(ObjectId oid) const {
-  MutexLock lk(mu_);
   auto it = entries_.find(oid);
   if (it == entries_.end()) return std::nullopt;
   return it->second.owner;
@@ -20,7 +18,6 @@ std::optional<NodeId> DirectoryShard::lookup(ObjectId oid) const {
 
 bool DirectoryShard::register_owner(ObjectId oid, NodeId new_owner,
                                     std::uint64_t version_clock) {
-  MutexLock lk(mu_);
   auto it = entries_.find(oid);
   if (it == entries_.end()) {
     entries_.emplace(oid, Entry{new_owner, version_clock});
@@ -33,7 +30,6 @@ bool DirectoryShard::register_owner(ObjectId oid, NodeId new_owner,
 }
 
 std::size_t DirectoryShard::size() const {
-  MutexLock lk(mu_);
   return entries_.size();
 }
 

@@ -17,7 +17,6 @@
 #include <unordered_map>
 
 #include "dsm/object_id.hpp"
-#include "util/mutex.hpp"
 #include "util/rng.hpp"
 
 namespace hyflow::dsm {
@@ -44,9 +43,7 @@ class DirectoryShard {
     NodeId owner = kInvalidNode;
     std::uint64_t version_clock = 0;
   };
-  // Outermost rank: ownership registration precedes slot/queue hand-off.
-  mutable Mutex mu_{LockRank::kDirectory, "DirectoryShard::mu"};
-  std::unordered_map<ObjectId, Entry> entries_ GUARDED_BY(mu_);
+  std::unordered_map<ObjectId, Entry> entries_;
 };
 
 }  // namespace hyflow::dsm

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "dsm/object_id.hpp"
 
@@ -31,8 +30,6 @@ class AbstractObject {
 
   // Approximate wire size in bytes; only used for transport statistics.
   virtual std::size_t wire_size() const { return 64; }
-
-  virtual std::string debug_string() const { return "object#" + std::to_string(id_.value); }
 
  protected:
   AbstractObject(const AbstractObject&) = default;

@@ -8,12 +8,10 @@ namespace hyflow::dsm {
 void ObjectStore::install(ObjectSnapshot object, Version version) {
   HYFLOW_ASSERT(object != nullptr);
   const ObjectId oid = object->id();
-  MutexLock lk(mu_);
   slots_[oid] = Slot{std::move(object), version, kInvalidTxn};
 }
 
 std::optional<SlotView> ObjectStore::get(ObjectId oid) const {
-  MutexLock lk(mu_);
   auto it = slots_.find(oid);
   if (it == slots_.end()) return std::nullopt;
   return SlotView{it->second.object, it->second.version, it->second.locked_by,
@@ -21,13 +19,11 @@ std::optional<SlotView> ObjectStore::get(ObjectId oid) const {
 }
 
 bool ObjectStore::owns(ObjectId oid) const {
-  MutexLock lk(mu_);
   return slots_.count(oid) > 0;
 }
 
 ObjectStore::LockResult ObjectStore::lock(ObjectId oid, TxnId txid,
                                           std::uint64_t expected_clock) {
-  MutexLock lk(mu_);
   auto it = slots_.find(oid);
   if (it == slots_.end()) return LockResult::kNotOwner;
   Slot& slot = it->second;
@@ -39,7 +35,6 @@ ObjectStore::LockResult ObjectStore::lock(ObjectId oid, TxnId txid,
 }
 
 bool ObjectStore::unlock(ObjectId oid, TxnId txid) {
-  MutexLock lk(mu_);
   auto it = slots_.find(oid);
   if (it == slots_.end() || it->second.locked_by != txid) return false;
   it->second.locked_by = kInvalidTxn;
@@ -50,7 +45,6 @@ bool ObjectStore::unlock(ObjectId oid, TxnId txid) {
 ObjectStore::ValidateResult ObjectStore::validate(ObjectId oid,
                                                   std::uint64_t expected_clock,
                                                   TxnId reader) const {
-  MutexLock lk(mu_);
   auto it = slots_.find(oid);
   if (it == slots_.end()) return ValidateResult::kNotOwner;
   const Slot& slot = it->second;
@@ -60,7 +54,6 @@ ObjectStore::ValidateResult ObjectStore::validate(ObjectId oid,
 }
 
 std::optional<SlotView> ObjectStore::evict(ObjectId oid, TxnId committer) {
-  MutexLock lk(mu_);
   auto it = slots_.find(oid);
   if (it == slots_.end()) return std::nullopt;
   HYFLOW_ASSERT_MSG(!it->second.locked_by.valid() || it->second.locked_by == committer,
@@ -73,7 +66,6 @@ std::optional<SlotView> ObjectStore::evict(ObjectId oid, TxnId committer) {
 
 bool ObjectStore::commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object,
                                   Version version) {
-  MutexLock lk(mu_);
   auto it = slots_.find(oid);
   if (it == slots_.end() || it->second.locked_by != txid) return false;
   it->second.object = std::move(object);
@@ -84,12 +76,10 @@ bool ObjectStore::commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot objec
 }
 
 std::size_t ObjectStore::size() const {
-  MutexLock lk(mu_);
   return slots_.size();
 }
 
 std::vector<ObjectId> ObjectStore::owned_ids() const {
-  MutexLock lk(mu_);
   std::vector<ObjectId> ids;
   ids.reserve(slots_.size());
   for (const auto& [oid, slot] : slots_) ids.push_back(oid);

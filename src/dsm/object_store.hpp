@@ -6,9 +6,9 @@
 // arrive for a locked slot are the scheduler's input. Ownership transfer
 // evicts the slot here and installs the new snapshot at the committer.
 //
-// All operations are short and non-blocking, guarded by one mutex per
-// store (a node's store sees its own workers plus the delivery pool — a
-// handful of threads — so sharding buys nothing at this scale).
+// A plain single-threaded class: the node's owner lock (runtime::Node,
+// docs/CONCURRENCY.md) serializes every access, so a slot read and the
+// decision taken on it form one step.
 #pragma once
 
 #include <optional>
@@ -18,7 +18,6 @@
 #include "dsm/object.hpp"
 #include "dsm/object_id.hpp"
 #include "dsm/version.hpp"
-#include "util/mutex.hpp"
 #include "util/time.hpp"
 
 namespace hyflow::dsm {
@@ -76,8 +75,7 @@ class ObjectStore {
     TxnId locked_by = kInvalidTxn;
     SimTime locked_at = 0;
   };
-  mutable Mutex mu_{LockRank::kObjectStore, "ObjectStore::mu"};
-  std::unordered_map<ObjectId, Slot> slots_ GUARDED_BY(mu_);
+  std::unordered_map<ObjectId, Slot> slots_;
 };
 
 }  // namespace hyflow::dsm

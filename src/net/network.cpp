@@ -144,7 +144,8 @@ void Network::delivery_loop(std::stop_token st, int lane) {
                    msg->from, "->", to, (msg->reply_to ? " (reply)" : ""));
     }
     handlers_[to](std::move(*msg));
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    // Release: wait_idle's acquire load then sees everything the handler did.
+    in_flight_.fetch_sub(1, std::memory_order_release);
   }
 }
 

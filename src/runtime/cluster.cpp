@@ -6,12 +6,23 @@
 
 namespace hyflow::runtime {
 
+namespace {
+// Two delivery lanes: a node's handlers run on lane `node % 2`.
+constexpr int kDeliveryThreads = 2;
+
+// `n`'s copy of `oid`, if `n` owns it.
+ObjectSnapshot owned_copy(Node& n, ObjectId oid) {
+  MutexLock lk(n.owner_mutex());
+  const auto slot = n.store().get(oid);
+  return slot ? slot->object : nullptr;
+}
+}  // namespace
+
 Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   HYFLOW_ASSERT(cfg.nodes >= 1);
   net::TopologyConfig topo = cfg.topology;
   topo.nodes = cfg.nodes;
-  network_ = std::make_unique<net::Network>(net::Topology(topo), cfg.delivery_threads,
-                                            cfg.fault);
+  network_ = std::make_unique<net::Network>(net::Topology(topo), kDeliveryThreads, cfg.fault);
 
   NodeConfig node_cfg;
   node_cfg.scheduler = cfg.scheduler;
@@ -41,20 +52,28 @@ void Cluster::create_object(std::unique_ptr<AbstractObject> obj, NodeId owner) {
   const ObjectId oid = obj->id();
   HYFLOW_ASSERT_MSG(oid.valid(), "objects need a non-zero id");
   ObjectSnapshot snapshot{std::move(obj)};
-  node(owner).store().install(snapshot, kInitialVersion);
-  node(dsm::home_node(oid, size())).directory().publish(oid, owner);
+  {
+    MutexLock lk(node(owner).owner_mutex());
+    node(owner).store().install(snapshot, kInitialVersion);
+  }
+  Node& home = node(dsm::home_node(oid, size()));
+  MutexLock lk(home.owner_mutex());
+  home.directory().publish(oid, owner);
 }
 
 ObjectSnapshot Cluster::committed_copy(ObjectId oid) {
-  const NodeId home = dsm::home_node(oid, size());
-  const auto owner = node(home).directory().lookup(oid);
+  Node& home = node(dsm::home_node(oid, size()));
+  const auto owner = [&] {
+    MutexLock lk(home.owner_mutex());
+    return home.directory().lookup(oid);
+  }();
   if (owner) {
-    if (auto slot = node(*owner).store().get(oid)) return slot->object;
+    if (auto copy = owned_copy(node(*owner), oid)) return copy;
   }
   // Directory and store can disagree transiently around shutdown; fall back
   // to a scan.
   for (auto& n : nodes_) {
-    if (auto slot = n->store().get(oid)) return slot->object;
+    if (auto copy = owned_copy(*n, oid)) return copy;
   }
   return nullptr;
 }
@@ -96,12 +115,6 @@ MetricsSnapshot Cluster::total_metrics() const {
 }
 
 Histogram Cluster::merged_latency() const { return total_metrics().latency; }
-
-std::uint64_t Cluster::total_completed() const {
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->completed();
-  return total;
-}
 
 void Cluster::shutdown() {
   if (shut_down_) return;

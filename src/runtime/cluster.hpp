@@ -24,7 +24,6 @@ namespace hyflow::runtime {
 struct ClusterConfig {
   std::uint32_t nodes = 8;
   int workers_per_node = 2;
-  int delivery_threads = 2;
   net::TopologyConfig topology;  // `nodes` is overridden to match
   core::SchedulerConfig scheduler;
   tfa::TfaConfig tfa;
@@ -46,7 +45,8 @@ class Cluster {
   net::Network& network() { return *network_; }
   const ClusterConfig& config() const { return cfg_; }
 
-  // Places `obj` at `owner` and publishes it in the home-node directory.
+  // Places `obj` at `owner` and publishes it in the home-node directory,
+  // each under that node's owner lock.
   void create_object(std::unique_ptr<AbstractObject> obj, NodeId owner);
 
   // Locates the current owner's committed copy of an object by scanning
@@ -56,7 +56,6 @@ class Cluster {
   // ---- workload driving ----
   void start_workers(workloads::Workload& workload);
   void stop_workers();
-  bool workers_running() const { return !workers_.empty(); }
 
   // Runs one transaction synchronously on `node` (examples/tests).
   tfa::RunResult execute(NodeId node, std::uint32_t profile,
@@ -66,7 +65,6 @@ class Cluster {
   // Cluster-wide commit-latency histogram (from per-node metrics); safe to
   // read live, not just after stop_workers().
   Histogram merged_latency() const;
-  std::uint64_t total_completed() const;
 
   // Stops workers, unblocks pending calls, stops the network.
   void shutdown();

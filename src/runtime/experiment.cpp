@@ -39,8 +39,11 @@ ExperimentResult run_experiment(workloads::Workload& workload, const ExperimentC
                                            static_cast<double>(attempts);
   result.messages = messages_after - messages_before;
   result.bytes = bytes_after - bytes_before;
-  for (NodeId id = 0; id < cluster.size(); ++id)
-    result.queue_residue += cluster.node(id).scheduler().total_queued();
+  for (NodeId id = 0; id < cluster.size(); ++id) {
+    Node& node = cluster.node(id);
+    MutexLock lk(node.owner_mutex());
+    result.queue_residue += node.scheduler().total_queued();
+  }
 
   if (cfg.verify) {
     result.verified = workload.verify(cluster);

@@ -9,10 +9,10 @@ Node::Node(NodeId id, net::Network& network, const NodeConfig& cfg)
       stats_(cfg.tfa.default_expected_duration),
       contention_(cfg.scheduler.contention_window),
       scheduler_(core::make_scheduler(cfg.scheduler)),
-      resolver_(*this, store_) {
-  runtime_ = std::make_unique<tfa::TfaRuntime>(cfg.tfa, *this, store_, directory_, resolver_,
-                                               *scheduler_, contention_, stats_, clock_,
-                                               metrics_);
+      resolver_(*this) {
+  runtime_ = std::make_unique<tfa::TfaRuntime>(cfg.tfa, *this, owner_mu_, store_, directory_,
+                                               resolver_, *scheduler_, contention_, stats_,
+                                               clock_, metrics_);
 }
 
 net::Message Node::envelope(NodeId to, net::Payload payload) const {
@@ -84,7 +84,5 @@ void Node::handle_message(net::Message msg) {
 }
 
 void Node::close_pending() { pending_.close_all(); }
-
-void Node::reopen_pending() { pending_.reopen(); }
 
 }  // namespace hyflow::runtime

@@ -6,6 +6,11 @@
 // routed to the node's pending calls (orphans trigger the NotInterested
 // protocol), requests go to the TFA runtime's owner-side handlers. Worker
 // threads run transactions through `runtime().run(...)`.
+//
+// The owner lock guards the store, the directory shard, the scheduler and
+// the contention tracker. The runtime takes it for every owner-side step;
+// other code that reads or changes them on a live cluster (object placement,
+// audits, reports) takes it through owner_mutex().
 #pragma once
 
 #include <memory>
@@ -57,8 +62,7 @@ class Node final : public net::Comm {
   // Unblocks every worker waiting on an RPC; call before joining workers.
   void close_pending();
 
-  // Re-arms RPCs after close_pending() once the blocked workers are joined.
-  void reopen_pending();
+  Mutex& owner_mutex() RETURN_CAPABILITY(owner_mu_) { return owner_mu_; }
 
   tfa::TfaRuntime& runtime() { return *runtime_; }
   dsm::ObjectStore& store() { return store_; }
@@ -77,6 +81,7 @@ class Node final : public net::Comm {
   net::PendingCalls pending_;
   net::RetryPolicy rpc_policy_;
   net::ReplyCache reply_cache_;  // request dedup for at-least-once delivery
+  Mutex owner_mu_{LockRank::kOwner, "Node::owner_mu"};
   dsm::ObjectStore store_;
   dsm::DirectoryShard directory_;
   tfa::NodeClock clock_;

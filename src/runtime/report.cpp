@@ -12,8 +12,11 @@ ClusterReport collect_report(Cluster& cluster) {
     NodeReport nr;
     nr.node = id;
     nr.metrics = node.metrics().snapshot();
-    nr.owned_objects = node.store().size();
-    nr.queued_requesters = node.scheduler().total_queued();
+    {
+      MutexLock lk(node.owner_mutex());
+      nr.owned_objects = node.store().size();
+      nr.queued_requesters = node.scheduler().total_queued();
+    }
     nr.clock = node.clock().read();
     report.totals += nr.metrics;
     report.total_objects += nr.owned_objects;

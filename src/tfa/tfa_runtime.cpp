@@ -8,12 +8,19 @@
 
 namespace hyflow::tfa {
 
-TfaRuntime::TfaRuntime(const TfaConfig& cfg, net::Comm& comm, dsm::ObjectStore& store,
-                       dsm::DirectoryShard& directory, dsm::OwnerResolver& resolver,
-                       core::Scheduler& scheduler, core::ContentionTracker& contention,
-                       StatsTable& stats, NodeClock& clock, runtime::NodeMetrics& metrics)
+namespace {
+// Wrong-owner re-resolutions (and lock/validate rounds) per operation.
+constexpr int kMaxOwnerRetries = 8;
+}  // namespace
+
+TfaRuntime::TfaRuntime(const TfaConfig& cfg, net::Comm& comm, Mutex& owner_mu,
+                       dsm::ObjectStore& store, dsm::DirectoryShard& directory,
+                       dsm::OwnerResolver& resolver, core::Scheduler& scheduler,
+                       core::ContentionTracker& contention, StatsTable& stats,
+                       NodeClock& clock, runtime::NodeMetrics& metrics)
     : cfg_(cfg),
       comm_(comm),
+      owner_mu_(owner_mu),
       store_(store),
       directory_(directory),
       resolver_(resolver),
@@ -144,8 +151,8 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
 
   // Alg. 2 Open_Object: resolve the owner and request a copy.
   Transaction& root = leaf.root();
-  for (int attempt = 0; attempt < cfg_.max_owner_retries; ++attempt) {
-    const auto owner = resolver_.find_owner(oid);
+  for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
+    const auto owner = find_owner(oid);
     if (!owner) abort_txn(AbortCause::kShutdown, 0, oid);
 
     net::ObjectRequest req;
@@ -215,6 +222,14 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
   abort_txn(AbortCause::kEarlyValidation, 0, oid);
 }
 
+std::optional<NodeId> TfaRuntime::find_owner(ObjectId oid) {
+  {
+    MutexLock lk(owner_mu_);
+    if (store_.owns(oid)) return comm_.self();
+  }
+  return resolver_.find_owner(oid);
+}
+
 AccessEntry& TfaRuntime::admit_granted(Transaction& leaf, ObjectId oid, net::AccessMode mode,
                                        const net::Message& reply) {
   const auto& resp = std::get<net::ObjectResponse>(reply.payload);
@@ -277,13 +292,17 @@ void TfaRuntime::run_validation(std::vector<ValidateItem>& items) {
   // are issued concurrently — validation is a logical step, not a serial
   // walk, and a serial walk would stretch every forwarding by
   // read-set-size round-trips.
-  for (int attempt = 0; attempt < cfg_.max_owner_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
     bool all_done = true;
     for (ValidateItem& it : items) {
       if (it.done) continue;
       all_done = false;
       if (it.target == comm_.self()) {
-        switch (store_.validate(it.oid, it.entry->version.clock, kInvalidTxn)) {
+        const auto result = [&] {
+          MutexLock lk(owner_mu_);
+          return store_.validate(it.oid, it.entry->version.clock, kInvalidTxn);
+        }();
+        switch (result) {
           case dsm::ObjectStore::ValidateResult::kValid:
             it.done = true;
             break;
@@ -328,7 +347,7 @@ void TfaRuntime::run_validation(std::vector<ValidateItem>& items) {
       if (it.done || it.target != kInvalidNode) continue;
       resolver_.invalidate(it.oid);
       metrics_.add_wrong_owner_retry();
-      const auto owner = resolver_.find_owner(it.oid);
+      const auto owner = find_owner(it.oid);
       if (!owner) abort_txn(AbortCause::kShutdown, it.depth, it.oid);
       it.target = *owner;
     }
@@ -445,10 +464,7 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
     for (std::size_t i = 0; i < writes.size(); ++i) {
       if (!locked[i]) continue;
       if (writes[i].owner == comm_.self()) {
-        if (auto slot = store_.get(writes[i].oid); slot && slot->locked_by == txid)
-          record_hold(slot->locked_at);
-        store_.unlock(writes[i].oid, txid);
-        serve_waiters(writes[i].oid);
+        release_local_lock(writes[i].oid, txid);
       } else {
         release_remote_lock(writes[i].oid, txid, writes[i].owner);
       }
@@ -472,14 +488,18 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
     abort_txn(cause, 0, oid);
   };
 
-  for (int attempt = 0; attempt < cfg_.max_owner_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
     bool all_locked = true;
     for (std::size_t i = 0; i < writes.size(); ++i) {
       if (locked[i]) continue;
       all_locked = false;
       WriteTarget& w = writes[i];
       if (w.owner == comm_.self()) {
-        switch (store_.lock(w.oid, txid, w.entry->version.clock)) {
+        const auto result = [&] {
+          MutexLock lk(owner_mu_);
+          return store_.lock(w.oid, txid, w.entry->version.clock);
+        }();
+        switch (result) {
           case dsm::ObjectStore::LockResult::kGranted:
             locked[i] = true;
             break;
@@ -530,7 +550,7 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
       if (locked[i] || writes[i].owner != kInvalidNode) continue;
       resolver_.invalidate(writes[i].oid);
       metrics_.add_wrong_owner_retry();
-      const auto owner = resolver_.find_owner(writes[i].oid);
+      const auto owner = find_owner(writes[i].oid);
       if (!owner) fail(AbortCause::kShutdown, writes[i].oid);
       writes[i].owner = *owner;
     }
@@ -543,14 +563,19 @@ void TfaRuntime::release_locks(const TxnId txid, const std::vector<WriteTarget>&
   for (std::size_t i = 0; i < count && i < writes.size(); ++i) {
     const WriteTarget& w = writes[i];
     if (w.owner == comm_.self()) {
-      if (auto slot = store_.get(w.oid); slot && slot->locked_by == txid)
-        record_hold(slot->locked_at);
-      store_.unlock(w.oid, txid);
-      serve_waiters(w.oid);
+      release_local_lock(w.oid, txid);
     } else {
       release_remote_lock(w.oid, txid, w.owner);
     }
   }
+}
+
+void TfaRuntime::release_local_lock(ObjectId oid, TxnId txid) {
+  MutexLock lk(owner_mu_);
+  if (auto slot = store_.get(oid); slot && slot->locked_by == txid)
+    record_hold(slot->locked_at);
+  store_.unlock(oid, txid);
+  serve_waiters(oid);
 }
 
 void TfaRuntime::release_remote_lock(ObjectId oid, TxnId txid, NodeId owner) {
@@ -579,14 +604,19 @@ void TfaRuntime::publish_write_set(Transaction& root, std::vector<WriteTarget>& 
     WriteTarget& w = writes[i];
     ObjectSnapshot snapshot = std::move(w.entry->working);
     if (w.owner == comm_.self()) {
+      MutexLock lk(owner_mu_);
       if (auto slot = store_.get(w.oid); slot && slot->locked_by == txid)
         record_hold(slot->locked_at);
       const bool ok = store_.commit_in_place(w.oid, txid, snapshot, version);
       HYFLOW_ASSERT_MSG(ok, "commit_in_place on a lock we hold must succeed");
+      serve_waiters(w.oid);
     } else {
       // Install locally first — the directory already points here, so the
       // new copy must be servable before the old owner's slot goes away.
-      store_.install(snapshot, version);
+      {
+        MutexLock lk(owner_mu_);
+        store_.install(snapshot, version);
+      }
       resolver_.note_owner(w.oid, comm_.self());
       net::CommitRequest req;
       req.oid = w.oid;
@@ -597,29 +627,31 @@ void TfaRuntime::publish_write_set(Transaction& root, std::vector<WriteTarget>& 
     }
   }
   for (std::size_t i = 0; i < writes.size(); ++i) {
-    if (calls[i]) {
-      net::CommitRequest req;
-      req.oid = writes[i].oid;
-      req.txid = txid;
-      req.new_version = version;
-      req.new_owner = comm_.self();
-      // The hand-off must survive message loss: without it the old owner's
-      // copy stays locked and its parked requesters are stranded. The
-      // receiver's reply cache preserves the extracted queue, so a retried
-      // CommitRequest is answered with the queue captured at the real
-      // hand-over, never an empty one.
-      if (auto reply = net::reliable_wait(comm_, *calls[i], writes[i].owner, req,
-                                          comm_.retry_policy().scaled(3))) {
-        auto& resp = std::get<net::CommitResponse>(reply->payload);
-        // Inherit the previous owner's scheduling queue (Alg. 4: the node
-        // invoking the committed transaction receives the requester lists).
-        scheduler_.absorb_queue(writes[i].oid, std::move(resp.queue));
-      } else if (!calls[i]->closed()) {
-        HYFLOW_WARN("commit hand-off of object ", writes[i].oid.value, " to node ",
-                    comm_.self(), " unacknowledged; old owner copy stays locked");
-      }
-      // The commit stands either way: locks were held, reads validated and
-      // ownership registered before publication began.
+    if (!calls[i]) continue;
+    net::CommitRequest req;
+    req.oid = writes[i].oid;
+    req.txid = txid;
+    req.new_version = version;
+    req.new_owner = comm_.self();
+    // The hand-off must survive message loss: without it the old owner's
+    // copy stays locked and its parked requesters are stranded. The
+    // receiver's reply cache preserves the extracted queue, so a retried
+    // CommitRequest is answered with the queue captured at the real
+    // hand-over, never an empty one.
+    auto reply = net::reliable_wait(comm_, *calls[i], writes[i].owner, req,
+                                    comm_.retry_policy().scaled(3));
+    if (!reply && !calls[i]->closed()) {
+      HYFLOW_WARN("commit hand-off of object ", writes[i].oid.value, " to node ",
+                  comm_.self(), " unacknowledged; old owner copy stays locked");
+    }
+    // The commit stands either way: locks were held, reads validated and
+    // ownership registered before publication began.
+    MutexLock lk(owner_mu_);
+    if (reply) {
+      // Inherit the previous owner's scheduling queue (Alg. 4: the node
+      // invoking the committed transaction receives the requester lists).
+      scheduler_.absorb_queue(writes[i].oid,
+                              std::move(std::get<net::CommitResponse>(reply->payload).queue));
     }
     serve_waiters(writes[i].oid);
   }
@@ -630,6 +662,7 @@ void TfaRuntime::publish_write_set(Transaction& root, std::vector<WriteTarget>& 
 // ---------------------------------------------------------------------------
 
 void TfaRuntime::handle_request(const net::Message& msg) {
+  MutexLock lk(owner_mu_);
   if (std::holds_alternative<net::FindOwnerRequest>(msg.payload)) return on_find_owner(msg);
   if (std::holds_alternative<net::RegisterOwnerRequest>(msg.payload))
     return on_register_owner(msg);
@@ -770,10 +803,7 @@ void TfaRuntime::on_abort_unlock(const net::Message& msg) {
 void TfaRuntime::on_not_interested(const net::Message& msg) {
   const auto& req = std::get<net::NotInterested>(msg.payload);
   metrics_.add_not_interested();
-  {
-    MutexLock lk(grants_mu_);
-    grants_.erase({req.oid.value, req.txid.value});
-  }
+  grants_.erase({req.oid.value, req.txid.value});
   scheduler_.remove_requester(req.oid, req.txid);
   if (store_.owns(req.oid)) {
     serve_waiters(req.oid);
@@ -792,21 +822,18 @@ void TfaRuntime::on_not_interested(const net::Message& msg) {
 
 void TfaRuntime::on_grant_ack(const net::Message& msg) {
   const auto& req = std::get<net::GrantAck>(msg.payload);
-  MutexLock lk(grants_mu_);
   grants_.erase({req.oid.value, req.txid.value});
 }
 
 void TfaRuntime::sweep_grants(SimTime now) {
+  MutexLock lk(owner_mu_);
   std::vector<PendingGrant> expired;
-  {
-    MutexLock lk(grants_mu_);
-    for (auto it = grants_.begin(); it != grants_.end();) {
-      if (it->second.deadline <= now) {
-        expired.push_back(it->second);
-        it = grants_.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = grants_.begin(); it != grants_.end();) {
+    if (it->second.deadline <= now) {
+      expired.push_back(it->second);
+      it = grants_.erase(it);
+    } else {
+      ++it;
     }
   }
   for (const PendingGrant& g : expired) {
@@ -832,12 +859,10 @@ void TfaRuntime::record_hold(SimTime locked_at) {
   if (locked_at <= 0) return;
   const SimDuration held = sim_now() - locked_at;
   if (held <= 0) return;
-  MutexLock lk(hold_mu_);
   hold_ewma_.add(static_cast<double>(held));
 }
 
 SimDuration TfaRuntime::expected_hold() const {
-  MutexLock lk(hold_mu_);
   if (!hold_ewma_.seeded()) return cfg_.default_validation_hold;
   return static_cast<SimDuration>(hold_ewma_.value());
 }
@@ -856,11 +881,8 @@ void TfaRuntime::send_grant(const net::QueuedRequester& to, ObjectId oid,
   resp.version = version;
   resp.owner_cl = contention_.local_cl(oid, sim_now());
   resp.handoff = true;  // requester must GrantAck or the grant is re-served
-  {
-    MutexLock lk(grants_mu_);
-    grants_[{oid.value, to.txid.value}] =
-        PendingGrant{oid, to, sim_now() + cfg_.grant_ack_timeout};
-  }
+  grants_[{oid.value, to.txid.value}] =
+      PendingGrant{oid, to, sim_now() + cfg_.grant_ack_timeout};
   comm_.reply_routed(to.address, to.reply_msg_id, resp);
 }
 

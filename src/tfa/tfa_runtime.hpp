@@ -16,6 +16,12 @@
 // write set -> validate read set -> register ownership at the home
 // directory -> transfer/install the new copies -> serve parked requesters
 // with the fresh object (Alg. 4).
+//
+// Owner-side state (the node's store, directory shard, scheduler, contention
+// tracker, grant table and hold estimate) is guarded by the node's one owner
+// lock. Every handler and every local owner-side step of the requester path
+// holds it from its first read to its last state change, and never across an
+// RPC wait (docs/CONCURRENCY.md).
 #pragma once
 
 #include <functional>
@@ -79,7 +85,6 @@ class Txn {
 };
 
 struct TfaConfig {
-  int max_owner_retries = 8;    // wrong-owner re-resolutions per operation
   int max_child_retries = 16;   // child-local retries before parent abort
   SimDuration default_expected_duration = sim_ms(2);
   // Seed estimate for how long a commit holds its locks (refined online by
@@ -100,7 +105,7 @@ struct RunResult {
 
 class TfaRuntime {
  public:
-  TfaRuntime(const TfaConfig& cfg, net::Comm& comm, dsm::ObjectStore& store,
+  TfaRuntime(const TfaConfig& cfg, net::Comm& comm, Mutex& owner_mu, dsm::ObjectStore& store,
              dsm::DirectoryShard& directory, dsm::OwnerResolver& resolver,
              core::Scheduler& scheduler, core::ContentionTracker& contention,
              StatsTable& stats, NodeClock& clock, runtime::NodeMetrics& metrics);
@@ -120,7 +125,8 @@ class TfaRuntime {
   void commit_root(Transaction& root);
 
   // ---- owner side (invoked by the node's message handler) ----
-  void handle_request(const net::Message& msg);
+  // One owner step: takes the owner lock for the whole handler.
+  void handle_request(const net::Message& msg) EXCLUDES(owner_mu_);
 
   // A granted object arrived for an abandoned call: tell the sender we are
   // no longer interested so it forwards the object to the next requester.
@@ -129,12 +135,9 @@ class TfaRuntime {
   // Grant-loss recovery (Alg. 4 under an unreliable network): expires
   // unacknowledged grants and re-serves the object's queue. Driven
   // periodically by the cluster's maintenance thread.
-  void sweep_grants(SimTime now);
+  void sweep_grants(SimTime now) EXCLUDES(owner_mu_);
 
-  NodeClock& clock() { return clock_; }
-  StatsTable& stats() { return stats_; }
   runtime::NodeMetrics& metrics() { return metrics_; }
-  core::Scheduler& scheduler() { return scheduler_; }
   const TfaConfig& config() const { return cfg_; }
 
  private:
@@ -149,6 +152,9 @@ class TfaRuntime {
     bool done = false;
     std::optional<net::RequestCall> call;
   };
+  // Find_owner: this node, if its own store holds the object, else the
+  // resolver's answer.
+  std::optional<NodeId> find_owner(ObjectId oid) EXCLUDES(owner_mu_);
   void forward_if_needed(Transaction& root, std::uint64_t observed_clock);
   void validate_chain(Transaction& root, bool reads_only);
   void validate_child(Transaction& child);
@@ -168,24 +174,27 @@ class TfaRuntime {
   void lock_write_set(Transaction& root, std::vector<WriteTarget>& writes);
   void release_locks(const TxnId txid, const std::vector<WriteTarget>& writes,
                      std::size_t count);
+  // Releases a commit lock held in this node's own store, then serves the
+  // object's queue: one owner step.
+  void release_local_lock(ObjectId oid, TxnId txid) EXCLUDES(owner_mu_);
   void publish_write_set(Transaction& root, std::vector<WriteTarget>& writes,
                          std::uint64_t commit_clock);
 
   // Owner-side handlers.
-  void on_find_owner(const net::Message& msg);
-  void on_register_owner(const net::Message& msg);
-  void on_object_request(const net::Message& msg);
-  void on_lock(const net::Message& msg);
-  void on_validate(const net::Message& msg);
-  void on_commit(const net::Message& msg);
-  void on_abort_unlock(const net::Message& msg);
-  void on_not_interested(const net::Message& msg);
-  void on_grant_ack(const net::Message& msg);
+  void on_find_owner(const net::Message& msg) REQUIRES(owner_mu_);
+  void on_register_owner(const net::Message& msg) REQUIRES(owner_mu_);
+  void on_object_request(const net::Message& msg) REQUIRES(owner_mu_);
+  void on_lock(const net::Message& msg) REQUIRES(owner_mu_);
+  void on_validate(const net::Message& msg) REQUIRES(owner_mu_);
+  void on_commit(const net::Message& msg) REQUIRES(owner_mu_);
+  void on_abort_unlock(const net::Message& msg) REQUIRES(owner_mu_);
+  void on_not_interested(const net::Message& msg) REQUIRES(owner_mu_);
+  void on_grant_ack(const net::Message& msg) REQUIRES(owner_mu_);
 
   // Push the current copy of `oid` to the scheduler's head group.
-  void serve_waiters(ObjectId oid);
+  void serve_waiters(ObjectId oid) REQUIRES(owner_mu_);
   void send_grant(const net::QueuedRequester& to, ObjectId oid, const ObjectSnapshot& obj,
-                  Version version);
+                  Version version) REQUIRES(owner_mu_);
 
   // Releases a remotely-held commit lock reliably (a lost release would
   // wedge the object at the owner forever).
@@ -193,24 +202,25 @@ class TfaRuntime {
 
   // Lock-hold statistics: how long commits keep objects locked at this
   // node; the owner-side estimate behind ConflictContext::validator_remaining.
-  void record_hold(SimTime locked_at);
-  SimDuration expected_hold() const;
-  SimDuration validator_remaining(const dsm::SlotView& slot, SimTime now) const;
+  void record_hold(SimTime locked_at) REQUIRES(owner_mu_);
+  SimDuration expected_hold() const REQUIRES(owner_mu_);
+  SimDuration validator_remaining(const dsm::SlotView& slot, SimTime now) const
+      REQUIRES(owner_mu_);
 
   TfaConfig cfg_;
   net::Comm& comm_;
-  dsm::ObjectStore& store_;
-  dsm::DirectoryShard& directory_;
+  Mutex& owner_mu_;
+  dsm::ObjectStore& store_ GUARDED_BY(owner_mu_);
+  dsm::DirectoryShard& directory_ GUARDED_BY(owner_mu_);
   dsm::OwnerResolver& resolver_;
-  core::Scheduler& scheduler_;
-  core::ContentionTracker& contention_;
+  core::Scheduler& scheduler_ GUARDED_BY(owner_mu_);
+  core::ContentionTracker& contention_ GUARDED_BY(owner_mu_);
   StatsTable& stats_;
   NodeClock& clock_;
   runtime::NodeMetrics& metrics_;
   std::atomic<std::uint64_t> txn_seq_{1};
 
-  mutable Mutex hold_mu_{LockRank::kHoldStats, "TfaRuntime::hold_mu"};
-  Ewma hold_ewma_ GUARDED_BY(hold_mu_){0.2};
+  Ewma hold_ewma_ GUARDED_BY(owner_mu_){0.2};
 
   // Outstanding Alg. 4 grants awaiting their GrantAck, keyed (oid, txid).
   struct PendingGrant {
@@ -218,9 +228,8 @@ class TfaRuntime {
     net::QueuedRequester req;
     SimTime deadline = 0;
   };
-  Mutex grants_mu_{LockRank::kGrantTable, "TfaRuntime::grants_mu"};
   std::map<std::pair<std::uint64_t, std::uint64_t>, PendingGrant> grants_
-      GUARDED_BY(grants_mu_);
+      GUARDED_BY(owner_mu_);
 };
 
 }  // namespace hyflow::tfa

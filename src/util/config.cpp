@@ -70,15 +70,4 @@ std::vector<std::int64_t> Config::get_int_list(const std::string& key,
   return out.empty() ? def : out;
 }
 
-std::string Config::describe() const {
-  std::ostringstream os;
-  bool first = true;
-  for (const auto& [k, v] : values_) {
-    if (!first) os << ' ';
-    os << "--" << k << '=' << v;
-    first = false;
-  }
-  return os.str();
-}
-
 }  // namespace hyflow

@@ -34,7 +34,6 @@ class Config {
                                          std::vector<std::int64_t> def) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
-  std::string describe() const;
 
  private:
   std::optional<std::string> raw(const std::string& key) const;

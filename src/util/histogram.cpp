@@ -40,10 +40,6 @@ std::uint64_t Histogram::bucket_width(std::size_t bucket) {
   return 1ull << exp;
 }
 
-std::uint64_t Histogram::bucket_mid(std::size_t bucket) {
-  return bucket_low(bucket) + bucket_width(bucket) / 2;
-}
-
 void Histogram::add(std::uint64_t value) {
   std::size_t b = bucket_of(value);
   if (b >= buckets_.size()) {

@@ -43,7 +43,6 @@ class Histogram {
   static std::size_t bucket_of(std::uint64_t value);
   static std::uint64_t bucket_low(std::size_t bucket);
   static std::uint64_t bucket_width(std::size_t bucket);
-  static std::uint64_t bucket_mid(std::size_t bucket);
 
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;

@@ -2,8 +2,8 @@
 //
 // Clang's thread-safety analysis proves that guarded state is only touched
 // with its capability held, but it cannot see *cross-mutex ordering*: thread
-// A taking store->directory while thread B takes directory->store is
-// invisible to it yet deadlocks at runtime. This validator closes that gap:
+// A taking owner->hints while thread B takes hints->owner is invisible to it
+// yet deadlocks at runtime. This validator closes that gap:
 // every Mutex is constructed with a LockRank, a thread-local stack records
 // the ranks a thread currently holds, and acquiring a lock whose rank is not
 // strictly greater than every held rank aborts immediately, printing both
@@ -27,26 +27,20 @@
 namespace hyflow {
 
 // Global acquisition order, outermost (acquired first) to innermost. The
-// directory -> object-store -> scheduler-queue prefix mirrors the hand-off
-// chain of Alg. 4: ownership registration, then slot state, then the parked
-// requester queue.
+// owner lock comes first: a node's owner-side step holds it while it replies,
+// grants and posts, which take the network's locks below it.
 enum class LockRank : int {
-  kUnranked = 0,        // opted out of ordering checks
-  kDirectory = 10,      // dsm::DirectoryShard::mu_
-  kObjectStore = 20,    // dsm::ObjectStore::mu_
-  kSchedulerQueue = 30, // core::Scheduler::mu_
-  kGrantTable = 40,     // tfa::TfaRuntime::grants_mu_
-  kContention = 50,     // core::ContentionTracker::mu_
-  kStatsTable = 55,     // tfa::StatsTable::mu_
-  kHoldStats = 58,      // tfa::TfaRuntime::hold_mu_
-  kOwnerHints = 65,     // dsm::OwnerResolver::mu_
-  kReplyCache = 70,     // net::ReplyCache::mu_
-  kCallRegistry = 75,   // net::PendingCalls::mu_
-  kCallState = 80,      // net::PendingCalls::CallState::mu
-  kNetTimer = 85,       // net::Network::timer_mu_
-  kInbox = 90,          // BlockingQueue (network lanes, node inboxes)
-  kMetrics = 95,        // runtime::NodeMetrics::latency_mu_ — leaf
-  kLog = 100,           // log sink — leaf, may be taken under anything
+  kUnranked = 0,       // opted out of ordering checks
+  kOwner = 10,         // runtime::Node::owner_mu_ — all owner-side state
+  kStatsTable = 55,    // tfa::StatsTable::mu_
+  kOwnerHints = 65,    // dsm::OwnerResolver::mu_
+  kReplyCache = 70,    // net::ReplyCache::mu_
+  kCallRegistry = 75,  // net::PendingCalls::mu_
+  kCallState = 80,     // net::PendingCalls::CallState::mu
+  kNetTimer = 85,      // net::Network::timer_mu_
+  kInbox = 90,         // BlockingQueue (network lanes, node inboxes)
+  kMetrics = 95,       // runtime::NodeMetrics::latency_mu_ — leaf
+  kLog = 100,          // log sink — leaf, may be taken under anything
 };
 
 namespace lock_rank {

@@ -37,7 +37,6 @@ class Stopwatch {
   Stopwatch() : start_(sim_now()) {}
   void reset() { start_ = sim_now(); }
   SimDuration elapsed() const { return sim_now() - start_; }
-  SimTime start_time() const { return start_; }
 
  private:
   SimTime start_;

@@ -47,8 +47,9 @@ void VacationWorkload::setup(runtime::Cluster& cluster) {
   for (int k = 0; k < kResourceKinds; ++k) {
     for (std::uint64_t r = 0; r < resources_per_kind_; ++r) {
       const ObjectId oid = resource_shard_of(static_cast<ResourceKind>(k), r);
-      // Direct mutation during setup: single-threaded, before any worker.
+      // Direct mutation during setup, before any worker.
       for (NodeId node = 0; node < n; ++node) {
+        MutexLock lk(cluster.node(node).owner_mutex());
         if (auto slot = cluster.node(node).store().get(oid)) {
           auto fresh = slot->object->clone();
           auto& shard = object_cast<ResourceShard>(*fresh);

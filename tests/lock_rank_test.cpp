@@ -14,15 +14,15 @@ namespace {
 #ifdef HYFLOW_LOCK_RANK_CHECKS
 
 TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
-  // Alg. 4's chain is directory -> store -> queue; taking the directory
-  // *after* the store inverts it and must die, naming both locks.
+  // An owner step may note an owner hint (owner -> hints); taking the owner
+  // lock *after* the hint lock inverts it and must die, naming both locks.
   auto invert = [] {
-    Mutex store(LockRank::kObjectStore, "test-store");
-    Mutex dir(LockRank::kDirectory, "test-directory");
-    MutexLock hold_store(store);
-    MutexLock hold_dir(dir);  // rank 10 under rank 20: inversion
+    Mutex hints(LockRank::kOwnerHints, "test-hints");
+    Mutex owner(LockRank::kOwner, "test-owner");
+    MutexLock hold_hints(hints);
+    MutexLock hold_owner(owner);  // rank 10 under rank 65: inversion
   };
-  EXPECT_DEATH(invert(), "lock-rank violation.*test-directory.*test-store");
+  EXPECT_DEATH(invert(), "lock-rank violation.*test-owner.*test-hints");
 }
 
 TEST(LockRankDeathTest, EqualRankNestingAborts) {
@@ -38,13 +38,13 @@ TEST(LockRankDeathTest, EqualRankNestingAborts) {
 }
 
 TEST(LockRank, InOrderChainPasses) {
-  Mutex dir(LockRank::kDirectory, "test-directory");
-  Mutex store(LockRank::kObjectStore, "test-store");
-  Mutex queue(LockRank::kSchedulerQueue, "test-queue");
+  Mutex owner(LockRank::kOwner, "test-owner");
+  Mutex hints(LockRank::kOwnerHints, "test-hints");
+  Mutex cache(LockRank::kReplyCache, "test-cache");
   {
-    MutexLock hold_dir(dir);
-    MutexLock hold_store(store);
-    MutexLock hold_queue(queue);
+    MutexLock hold_owner(owner);
+    MutexLock hold_hints(hints);
+    MutexLock hold_cache(cache);
     EXPECT_EQ(lock_rank::held_count(), 3);
   }
   EXPECT_EQ(lock_rank::held_count(), 0);
@@ -53,26 +53,26 @@ TEST(LockRank, InOrderChainPasses) {
 TEST(LockRank, ReleaseRestoresFreedom) {
   // Sequential (non-nested) use in any order is legal: the inversion rule
   // only applies to locks held simultaneously.
-  Mutex dir(LockRank::kDirectory, "test-directory");
-  Mutex store(LockRank::kObjectStore, "test-store");
+  Mutex owner(LockRank::kOwner, "test-owner");
+  Mutex hints(LockRank::kOwnerHints, "test-hints");
   {
-    MutexLock hold(store);
+    MutexLock hold(hints);
   }
   {
-    MutexLock hold(dir);  // lower rank, but nothing is held any more
+    MutexLock hold(owner);  // lower rank, but nothing is held any more
   }
   EXPECT_EQ(lock_rank::held_count(), 0);
 }
 
 TEST(LockRank, TryLockIsExemptButRecorded) {
-  Mutex store(LockRank::kObjectStore, "test-store");
-  Mutex dir(LockRank::kDirectory, "test-directory");
-  MutexLock hold(store);
+  Mutex hints(LockRank::kOwnerHints, "test-hints");
+  Mutex owner(LockRank::kOwner, "test-owner");
+  MutexLock hold(hints);
   // A non-blocking acquisition cannot deadlock, so inverting via try_lock
   // is allowed...
-  ASSERT_TRUE(dir.try_lock());
+  ASSERT_TRUE(owner.try_lock());
   EXPECT_EQ(lock_rank::held_count(), 2);
-  dir.unlock();
+  owner.unlock();
   EXPECT_EQ(lock_rank::held_count(), 1);
 }
 
@@ -80,16 +80,16 @@ TEST(LockRankDeathTest, BlockingAcquireAfterTryLockStillChecked) {
   // ...but the try-locked capability is recorded, so a later *blocking*
   // acquisition below it still trips the validator.
   auto blocked_under_trylock = [] {
-    Mutex queue(LockRank::kSchedulerQueue, "test-queue");
-    Mutex store(LockRank::kObjectStore, "test-store");
-    ASSERT_TRUE(queue.try_lock());
-    MutexLock hold(store);  // rank 20 under recorded rank 30
+    Mutex cache(LockRank::kReplyCache, "test-cache");
+    Mutex hints(LockRank::kOwnerHints, "test-hints");
+    ASSERT_TRUE(cache.try_lock());
+    MutexLock hold(hints);  // rank 65 under recorded rank 70
   };
-  EXPECT_DEATH(blocked_under_trylock(), "lock-rank violation.*test-store.*test-queue");
+  EXPECT_DEATH(blocked_under_trylock(), "lock-rank violation.*test-hints.*test-cache");
 }
 
 TEST(LockRank, UnrankedLocksOptOut) {
-  Mutex ranked(LockRank::kObjectStore, "test-store");
+  Mutex ranked(LockRank::kOwnerHints, "test-hints");
   Mutex unranked;  // kUnranked: utility lock, exempt from ordering
   MutexLock hold_ranked(ranked);
   {

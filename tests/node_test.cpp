@@ -219,10 +219,57 @@ TEST_F(NodePair, WithdrawalForwardingStopsOnAHintCycle) {
 TEST_F(NodePair, WaitForTimesOutCleanly) {
   // A request whose reply is slower than the timeout: wait_for returns
   // nothing and the system keeps running (the late reply becomes an orphan).
-  auto call = cluster->node(0).request(2, net::FindOwnerRequest{ObjectId{56}});
-  const auto got = call.wait_for(1);  // 1 ns: guaranteed expiry
+  // Every link takes 50 ms, so the reply is late unless the test thread
+  // stalls for a whole round trip between the request and the wait.
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.workers_per_node = 0;
+  cfg.topology.min_delay = sim_ms(50);
+  cfg.topology.max_delay = sim_ms(50);
+  Cluster c(cfg);
+  auto call = c.node(0).request(2, net::FindOwnerRequest{ObjectId{56}});
+  const auto got = call.wait_for(1);  // 1 ns, against a 100 ms round trip
   EXPECT_FALSE(got.has_value());
-  cluster->network().wait_idle();  // the orphan reply is absorbed
+  c.network().wait_idle();
+  // Both the request and the reply were sent and delivered: the late reply
+  // reached node 0 and was absorbed as an orphan.
+  EXPECT_EQ(c.network().stats().messages.load(), 2u);
+  EXPECT_EQ(c.network().stats().dropped_on_stop.load(), 0u);
+  c.shutdown();
+}
+
+TEST_F(NodePair, RequestWaitsForTheOwnersStep) {
+  // Each owner-side step holds the node's owner lock from its first read to
+  // its last state change, so a request that arrives during a step is handled
+  // after it and sees only the state the step left. Here the step locks the
+  // object for a commit and unlocks it again: the request must find the
+  // object free and get it, never see it locked and ask the scheduler.
+  const ObjectId oid{61};
+  cluster->create_object(std::make_unique<Box>(oid, 1), 0);
+  Node& owner = cluster->node(0);
+  const TxnId committer = TxnId::make(0, 1);
+  net::ObjectRequest req;
+  req.oid = oid;
+  req.txid = TxnId::make(2, 1);
+  req.mode = net::AccessMode::kWrite;
+
+  MutexLock step(owner.owner_mutex());
+  const Version version = owner.store().get(oid)->version;
+  ASSERT_EQ(owner.store().lock(oid, committer, version.clock),
+            dsm::ObjectStore::LockResult::kGranted);
+  auto call = cluster->node(2).request(0, req);
+  // The handler waits for the step; no answer can come while it lasts.
+  EXPECT_FALSE(call.poll_for(sim_ms(20)).has_value());
+  ASSERT_TRUE(owner.store().unlock(oid, committer));
+  step.unlock();
+
+  const auto reply = call.wait_for(sim_ms(500));
+  ASSERT_TRUE(reply.has_value());
+  const auto& resp = std::get<net::ObjectResponse>(reply->payload);
+  EXPECT_FALSE(resp.enqueued);
+  ASSERT_NE(resp.object, nullptr);
+  EXPECT_EQ(object_cast<Box>(*resp.object).value, 1);
+  EXPECT_EQ(resp.version.clock, version.clock);
 }
 
 TEST_F(NodePair, StaleOwnerHintRetriesViaWrongOwner) {

@@ -25,6 +25,7 @@
 #include <array>
 #include <atomic>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -278,8 +279,10 @@ TEST_P(SchedulerConformanceTest, DecisionDigestIsPinned) {
 
 // Concurrency probe (run under the tsan preset): several threads hammer one
 // scheduler instance with disjoint txid ranges while grants and hand-offs
-// race against enqueues. Exact ordering is unobservable here; conservation
-// is: after a final drain, grants == enqueues and nothing stays parked.
+// race against enqueues. The scheduler is single-threaded, so each call runs
+// under one test mutex, as a node's calls run under its owner lock. Exact
+// ordering is unobservable here; conservation is: after a final drain,
+// grants == enqueues and nothing stays parked.
 TEST_P(SchedulerConformanceTest, ConcurrentHammerConservesRequesters) {
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 1500;
@@ -289,6 +292,7 @@ TEST_P(SchedulerConformanceTest, ConcurrentHammerConservesRequesters) {
   std::atomic<std::uint64_t> enqueued{0};
   std::atomic<std::uint64_t> granted{0};
   std::atomic<std::uint64_t> removed{0};
+  std::mutex owner;
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -306,12 +310,14 @@ TEST_P(SchedulerConformanceTest, ConcurrentHammerConservesRequesters) {
           const auto mode = rng.chance(0.3) ? AccessMode::kRead : AccessMode::kWrite;
           const auto ctx = make_ctx(oid, txn, mode, sim_us(100 + rng.below(50000)),
                                     static_cast<std::uint32_t>(rng.below(6)));
+          std::lock_guard lk(owner);
           if (sched->on_conflict(ctx).action == ConflictAction::kEnqueue) {
             enqueued.fetch_add(1, std::memory_order_relaxed);
             last_parked_txn = txn;
             last_parked_oid = oid;
           }
         } else if (op < 90) {
+          std::lock_guard lk(owner);
           granted.fetch_add(sched->on_object_available(ObjectId{oid}).size(),
                             std::memory_order_relaxed);
         } else if (last_parked_txn != 0) {
@@ -319,6 +325,7 @@ TEST_P(SchedulerConformanceTest, ConcurrentHammerConservesRequesters) {
           // may already have been granted by another thread — then the
           // remove is a no-op and the count stays conservative, which is
           // why the final check is an inequality on removed.
+          std::lock_guard lk(owner);
           sched->remove_requester(ObjectId{last_parked_oid}, TxnId{last_parked_txn});
           removed.fetch_add(1, std::memory_order_relaxed);
           last_parked_txn = 0;
