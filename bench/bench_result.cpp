@@ -78,25 +78,15 @@ BenchPoint& BenchPoint::from_metrics(const runtime::MetricsSnapshot& delta, doub
   metric("seconds", secs);
   metric("throughput",
          secs > 0.0 ? static_cast<double>(delta.commits_root) / secs : 0.0);
-  metric("commits_root", delta.commits_root);
-  metric("commits_read_only", delta.commits_read_only);
-  metric("commits_write", delta.commits_write);
+  for (const runtime::CounterField& c : runtime::kCounterFields)
+    metric(c.name, delta.*c.field);
   for (std::size_t i = 1; i < delta.aborts_root.size(); ++i) {
     metric("abort_" + metric_key(tfa::abort_cause_name(static_cast<tfa::AbortCause>(i))),
            delta.aborts_root[i]);
   }
-  const std::uint64_t aborts = delta.aborts_total();
-  const std::uint64_t attempts = delta.commits_root + aborts;
-  metric("aborts_total", aborts);
-  metric("abort_ratio", attempts == 0 ? 0.0
-                                      : static_cast<double>(aborts) /
-                                            static_cast<double>(attempts));
-  metric("nested_commits", delta.nested_commits);
-  metric("nested_aborts_total", delta.nested_aborts_total);
+  metric("aborts_total", delta.aborts_total());
+  metric("abort_ratio", delta.abort_ratio());
   metric("nested_abort_rate", delta.nested_abort_rate());
-  metric("enqueued", delta.enqueued);
-  metric("handoffs", delta.handoffs_received);
-  metric("backoff_expired", delta.backoff_expired);
 
   const auto& lat = delta.latency;
   metric("latency_count", lat.count());
@@ -109,10 +99,6 @@ BenchPoint& BenchPoint::from_metrics(const runtime::MetricsSnapshot& delta, doub
 
   metric("messages", messages);
   metric("bytes", bytes);
-  metric("rpc_retries", delta.rpc_retries);
-  metric("dedup_hits", delta.dedup_hits);
-  metric("watchdog_aborts", delta.watchdog_aborts);
-  metric("grant_reforwards", delta.grant_reforwards);
   metric("verified", static_cast<std::uint64_t>(verified ? 1 : 0));
   return *this;
 }

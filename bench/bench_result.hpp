@@ -14,9 +14,10 @@
 //
 // Labels are strings (they key the point for diffing); metrics are doubles.
 // `BenchPoint::from_experiment` records the standard metric set — throughput,
-// commit/abort breakdown by cause, nested-abort rate, latency percentiles
-// from the histogram, message/byte traffic, and the degradation counters —
-// so every bench reports the same vocabulary.
+// every counter of runtime/metrics.hpp's list under its field name, root
+// aborts by cause, the abort and nested-abort rates, latency percentiles
+// from the histogram and message/byte traffic — so every bench reports the
+// same vocabulary.
 #pragma once
 
 #include <chrono>

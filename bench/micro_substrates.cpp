@@ -1,8 +1,8 @@
-// google-benchmark microbenchmarks for the substrates: online stats,
-// histogram, blocking queue, contention tracker, requester list,
-// scheduler decisions, object store operations, topology lookups and a full
-// network round-trip. These quantify the per-message and per-decision costs
-// underlying the macro results.
+// google-benchmark microbenchmarks for the substrates: histogram, blocking
+// queue, contention tracker, requester list, scheduler decisions, object
+// store operations, topology lookups and a full network round-trip. These
+// quantify the per-message and per-decision costs underlying the macro
+// results.
 //
 // In addition to google-benchmark's console output, writes
 // BENCH_micro_substrates.json (one point per microbenchmark with
@@ -27,21 +27,9 @@
 #include "util/blocking_queue.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace hyflow {
 namespace {
-
-void BM_OnlineStatsAdd(benchmark::State& state) {
-  OnlineStats stats;
-  double x = 0.5;
-  for (auto _ : state) {
-    stats.add(x);
-    x += 0.1;
-  }
-  benchmark::DoNotOptimize(stats.mean());
-}
-BENCHMARK(BM_OnlineStatsAdd);
 
 void BM_HistogramAdd(benchmark::State& state) {
   Histogram h;

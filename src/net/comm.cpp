@@ -17,14 +17,14 @@ SimDuration RetryPolicy::timeout_for(int attempt, std::uint64_t msg_id) const {
   return std::max<SimDuration>(1, static_cast<SimDuration>(static_cast<double>(t) * factor));
 }
 
-std::optional<Message> reliable_wait(Comm& comm, RequestCall& call, NodeId to,
-                                     const Payload& payload, const RetryPolicy& policy) {
+std::optional<Message> reliable_wait(Comm& comm, RequestCall& call,
+                                     const RetryPolicy& policy) {
   for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
     auto reply = call.poll_for(policy.timeout_for(attempt, call.id()));
     if (reply) return reply;
     if (call.closed()) return std::nullopt;  // shutdown, not loss
     if (attempt == policy.max_retries) break;
-    comm.resend(to, call.id(), static_cast<std::uint32_t>(attempt + 1), payload);
+    comm.resend(call.to(), call.id(), static_cast<std::uint32_t>(attempt + 1), call.payload());
   }
   return std::nullopt;
 }

@@ -3,10 +3,11 @@
 // Network, the node's PendingCalls registry, and its TFA logical clock
 // (stamped on every outgoing envelope for Lamport synchronisation).
 //
-// RequestCall is the RAII handle for an outstanding request: wait() blocks
-// for the next reply, wait_for() abandons on timeout (late replies become
-// orphans, triggering the NotInterested protocol), and the destructor
-// deregisters whatever is left.
+// RequestCall is the RAII handle for an outstanding request: it keeps the
+// destination and payload the request was sent with (reliable_wait resends
+// them), wait() blocks for the next reply, wait_for() abandons on timeout
+// (late replies become orphans, triggering the NotInterested protocol), and
+// the destructor deregisters whatever is left.
 #pragma once
 
 #include <cstdint>
@@ -19,13 +20,22 @@ namespace hyflow::net {
 
 class RequestCall {
  public:
-  RequestCall(PendingCalls* registry, PendingCalls::CallPtr call, std::uint64_t msg_id)
-      : registry_(registry), call_(std::move(call)), msg_id_(msg_id) {}
+  RequestCall(PendingCalls* registry, PendingCalls::CallPtr call, std::uint64_t msg_id,
+              NodeId to, Payload payload)
+      : registry_(registry),
+        call_(std::move(call)),
+        msg_id_(msg_id),
+        to_(to),
+        payload_(std::move(payload)) {}
 
   RequestCall(const RequestCall&) = delete;
   RequestCall& operator=(const RequestCall&) = delete;
   RequestCall(RequestCall&& other) noexcept
-      : registry_(other.registry_), call_(std::move(other.call_)), msg_id_(other.msg_id_) {
+      : registry_(other.registry_),
+        call_(std::move(other.call_)),
+        msg_id_(other.msg_id_),
+        to_(other.to_),
+        payload_(std::move(other.payload_)) {
     other.registry_ = nullptr;
   }
 
@@ -34,6 +44,8 @@ class RequestCall {
   }
 
   std::uint64_t id() const { return msg_id_; }
+  NodeId to() const { return to_; }
+  const Payload& payload() const { return payload_; }
 
   std::optional<Message> wait() { return registry_->wait(call_, msg_id_, std::nullopt); }
 
@@ -58,6 +70,8 @@ class RequestCall {
   PendingCalls* registry_;
   PendingCalls::CallPtr call_;
   std::uint64_t msg_id_;
+  NodeId to_;
+  Payload payload_;
 };
 
 // Retry schedule for idempotent requests: capped exponential timeouts with
@@ -112,19 +126,13 @@ class Comm {
 
   // The node's retry schedule for reliable_wait().
   virtual const RetryPolicy& retry_policy() const = 0;
-
-  // True once the node started shutting down its pending calls — lets
-  // callers distinguish "reply lost" (watchdog abort) from "cluster
-  // stopping" (shutdown abort) when a wait comes back empty.
-  virtual bool closing() const { return false; }
 };
 
-// Waits for the reply to `call`, re-sending `payload` to `to` on each
+// Waits for the reply to `call`, re-sending the call's own request on each
 // timeout per `policy`. Returns the reply, or nullopt once the retry budget
 // is exhausted (or the registry was closed — check call.closed()). Only
 // valid for idempotent requests: the receiver may execute the request more
 // than once if its reply cache has aged the entry out.
-std::optional<Message> reliable_wait(Comm& comm, RequestCall& call, NodeId to,
-                                     const Payload& payload, const RetryPolicy& policy);
+std::optional<Message> reliable_wait(Comm& comm, RequestCall& call, const RetryPolicy& policy);
 
 }  // namespace hyflow::net

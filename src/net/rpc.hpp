@@ -73,12 +73,6 @@ class PendingCalls {
 
   std::size_t open_count() const;
 
-  // True between close_all() and reopen().
-  bool closed() const {
-    MutexLock lk(mu_);
-    return closed_;
-  }
-
  private:
   // Registry rank sits below kCallState: deliver()/wait() touch the registry
   // and a call's own lock in separate critical sections, but the declared

@@ -2,6 +2,7 @@
 
 #include "dsm/directory.hpp"
 #include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "workloads/workload.hpp"
 
 namespace hyflow::runtime {
@@ -83,10 +84,15 @@ void Cluster::start_workers(workloads::Workload& workload) {
   std::uint64_t seed = cfg_.seed * 0x9e3779b97f4a7c15ull + 1;
   for (NodeId id = 0; id < size(); ++id) {
     for (int w = 0; w < cfg_.workers_per_node; ++w) {
-      workers_.push_back(std::make_unique<Worker>(node(id), workload, seed++));
+      workers_.emplace_back(
+          [&n = node(id), &workload, rng = Xoshiro256(seed++)](std::stop_token st) mutable {
+            while (!st.stop_requested()) {
+              auto op = workload.next_op(n.self(), rng);
+              n.runtime().run(op.profile, op.body, [&st] { return !st.stop_requested(); });
+            }
+          });
     }
   }
-  for (auto& w : workers_) w->start();
 }
 
 void Cluster::stop_workers() {
@@ -95,9 +101,8 @@ void Cluster::stop_workers() {
   // is reply-bounded while the network runs, and a parked transaction's
   // backoff is capped, so joins converge without cutting pending calls —
   // cutting them would eat lock-grant replies mid-commit and leak locks.
-  for (auto& w : workers_) w->request_stop();
-  for (auto& w : workers_) w->join();
-  workers_.clear();
+  for (auto& w : workers_) w.request_stop();
+  workers_.clear();  // joins
   // Drain in-flight messages (ownership transfers, unlock notifications) so
   // post-run audits see a quiescent, consistent cluster.
   network_->wait_idle();

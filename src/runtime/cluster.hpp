@@ -8,12 +8,12 @@
 #pragma once
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "net/network.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/node.hpp"
-#include "runtime/worker.hpp"
 
 namespace hyflow::workloads {
 class Workload;
@@ -73,7 +73,9 @@ class Cluster {
   ClusterConfig cfg_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  // Client threads: each runs its node's transactions back-to-back (zero
+  // think time) until asked to stop.
+  std::vector<std::jthread> workers_;
   // Periodically expires unacknowledged Alg. 4 grants on every node so a
   // dropped hand-off re-serves the queue instead of stranding it.
   std::jthread maintenance_;

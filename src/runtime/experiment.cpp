@@ -33,10 +33,7 @@ ExperimentResult run_experiment(workloads::Workload& workload, const ExperimentC
   result.seconds = secs;
   result.throughput = static_cast<double>(result.delta.commits_root) / secs;
   result.nested_abort_rate = result.delta.nested_abort_rate();
-  const std::uint64_t attempts = result.delta.commits_root + result.delta.aborts_total();
-  result.abort_ratio = attempts == 0 ? 0.0
-                                     : static_cast<double>(result.delta.aborts_total()) /
-                                           static_cast<double>(attempts);
+  result.abort_ratio = result.delta.abort_ratio();
   result.messages = messages_after - messages_before;
   result.bytes = bytes_after - bytes_before;
   for (NodeId id = 0; id < cluster.size(); ++id) {

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "tfa/abort.hpp"
@@ -27,29 +28,44 @@
 
 namespace hyflow::runtime {
 
+// Every plain per-node counter, once. Each name is at the same time a
+// MetricsSnapshot field, a Counter enumerator and the counter's BENCH key;
+// the snapshot algebra, snapshot() and BenchPoint::from_metrics loop over
+// kCounterFields. Adding a counter takes one line here plus its increments.
+#define HYFLOW_NODE_COUNTERS(X)                                                \
+  X(commits_root)                                                              \
+  X(commits_read_only)                                                         \
+  X(commits_write)                                                             \
+  X(nested_commits)                                                            \
+  X(nested_aborts_total)                                                       \
+  X(nested_aborts_parent_cause)                                                \
+  X(nested_aborts_own_cause)                                                   \
+  X(enqueued)                                                                  \
+  X(handoffs_received)                                                         \
+  X(handoffs_sent)                                                             \
+  X(backoff_expired)                                                           \
+  X(not_interested)                                                            \
+  X(conflicts_seen)                                                            \
+  X(wrong_owner_retries)                                                       \
+  X(forwardings)                                                               \
+  /* Degradation counters (fault tolerance layer). */                          \
+  X(rpc_retries)      /* requests re-sent after a timeout */                   \
+  X(dedup_hits)       /* duplicate requests answered from cache */             \
+  X(watchdog_aborts)  /* transactions aborted on retry exhaustion */           \
+  X(grant_reforwards) /* Alg. 4 grants re-forwarded after ack loss */
+
+enum class Counter : std::size_t {
+#define HYFLOW_COUNTER_ENUMERATOR(name) name,
+  HYFLOW_NODE_COUNTERS(HYFLOW_COUNTER_ENUMERATOR)
+#undef HYFLOW_COUNTER_ENUMERATOR
+};
+
 struct MetricsSnapshot {
-  std::uint64_t commits_root = 0;
-  std::uint64_t commits_read_only = 0;
-  std::uint64_t commits_write = 0;
+#define HYFLOW_COUNTER_FIELD(name) std::uint64_t name = 0;
+  HYFLOW_NODE_COUNTERS(HYFLOW_COUNTER_FIELD)
+#undef HYFLOW_COUNTER_FIELD
   std::array<std::uint64_t, static_cast<std::size_t>(tfa::AbortCause::kCauseCount)>
       aborts_root{};
-  std::uint64_t nested_commits = 0;
-  std::uint64_t nested_aborts_total = 0;
-  std::uint64_t nested_aborts_parent_cause = 0;
-  std::uint64_t nested_aborts_own_cause = 0;
-  std::uint64_t enqueued = 0;
-  std::uint64_t handoffs_received = 0;
-  std::uint64_t handoffs_sent = 0;
-  std::uint64_t backoff_expired = 0;
-  std::uint64_t not_interested = 0;
-  std::uint64_t conflicts_seen = 0;
-  std::uint64_t wrong_owner_retries = 0;
-  std::uint64_t forwardings = 0;
-  // Degradation counters (fault tolerance layer).
-  std::uint64_t rpc_retries = 0;        // requests re-sent after a timeout
-  std::uint64_t dedup_hits = 0;         // duplicate requests answered from cache
-  std::uint64_t watchdog_aborts = 0;    // transactions aborted on retry exhaustion
-  std::uint64_t grant_reforwards = 0;   // Alg. 4 grants re-forwarded after ack loss
   // Root-commit latency (ns), recorded at commit time. Bucket counts are
   // monotonic, so `after - before` yields the window's histogram.
   Histogram latency;
@@ -63,6 +79,13 @@ struct MetricsSnapshot {
   MetricsSnapshot& operator+=(const MetricsSnapshot& other);
   MetricsSnapshot operator-(const MetricsSnapshot& other) const;
 
+  // Root aborts / (root commits + root aborts).
+  double abort_ratio() const {
+    const std::uint64_t aborts = aborts_total();
+    const std::uint64_t attempts = commits_root + aborts;
+    return attempts == 0 ? 0.0 : static_cast<double>(aborts) / static_cast<double>(attempts);
+  }
+
   // Table I: fraction of nested aborts caused by a parent abort.
   double nested_abort_rate() const {
     return nested_aborts_total == 0
@@ -72,35 +95,35 @@ struct MetricsSnapshot {
   }
 };
 
+// The list in Counter order: each counter's name and its snapshot field.
+struct CounterField {
+  const char* name;
+  std::uint64_t MetricsSnapshot::*field;
+};
+inline constexpr auto kCounterFields = std::to_array<CounterField>({
+#define HYFLOW_COUNTER_ENTRY(name) {#name, &MetricsSnapshot::name},
+    HYFLOW_NODE_COUNTERS(HYFLOW_COUNTER_ENTRY)
+#undef HYFLOW_COUNTER_ENTRY
+});
+inline constexpr std::size_t kCounterCount = kCounterFields.size();
+
 class NodeMetrics {
  public:
+  void add(Counter counter, std::uint64_t n = 1) {
+    counters_[static_cast<std::size_t>(counter)].fetch_add(n, std::memory_order_relaxed);
+  }
   void add_commit(bool read_only) {
-    commits_root_.fetch_add(1, std::memory_order_relaxed);
-    (read_only ? commits_read_only_ : commits_write_).fetch_add(1, std::memory_order_relaxed);
+    add(Counter::commits_root);
+    add(read_only ? Counter::commits_read_only : Counter::commits_write);
   }
   void add_root_abort(tfa::AbortCause cause) {
     aborts_root_[static_cast<std::size_t>(cause)].fetch_add(1, std::memory_order_relaxed);
   }
-  void add_nested_commit() { nested_commits_.fetch_add(1, std::memory_order_relaxed); }
   void add_nested_abort(bool parent_cause, std::uint64_t n = 1) {
-    nested_aborts_total_.fetch_add(n, std::memory_order_relaxed);
-    (parent_cause ? nested_aborts_parent_cause_ : nested_aborts_own_cause_)
-        .fetch_add(n, std::memory_order_relaxed);
+    add(Counter::nested_aborts_total, n);
+    add(parent_cause ? Counter::nested_aborts_parent_cause : Counter::nested_aborts_own_cause,
+        n);
   }
-  void add_enqueued() { enqueued_.fetch_add(1, std::memory_order_relaxed); }
-  void add_handoff_received() { handoffs_received_.fetch_add(1, std::memory_order_relaxed); }
-  void add_handoff_sent(std::uint64_t n = 1) {
-    handoffs_sent_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_backoff_expired() { backoff_expired_.fetch_add(1, std::memory_order_relaxed); }
-  void add_not_interested() { not_interested_.fetch_add(1, std::memory_order_relaxed); }
-  void add_conflict_seen() { conflicts_seen_.fetch_add(1, std::memory_order_relaxed); }
-  void add_wrong_owner_retry() { wrong_owner_retries_.fetch_add(1, std::memory_order_relaxed); }
-  void add_forwarding() { forwardings_.fetch_add(1, std::memory_order_relaxed); }
-  void add_rpc_retry() { rpc_retries_.fetch_add(1, std::memory_order_relaxed); }
-  void add_dedup_hit() { dedup_hits_.fetch_add(1, std::memory_order_relaxed); }
-  void add_watchdog_abort() { watchdog_aborts_.fetch_add(1, std::memory_order_relaxed); }
-  void add_grant_reforward() { grant_reforwards_.fetch_add(1, std::memory_order_relaxed); }
 
   // Records one root-commit latency (ns) into the per-node histogram.
   void record_latency(std::uint64_t ns);
@@ -108,27 +131,9 @@ class NodeMetrics {
   MetricsSnapshot snapshot() const;
 
  private:
-  std::atomic<std::uint64_t> commits_root_{0};
-  std::atomic<std::uint64_t> commits_read_only_{0};
-  std::atomic<std::uint64_t> commits_write_{0};
+  std::array<std::atomic<std::uint64_t>, kCounterCount> counters_{};
   std::array<std::atomic<std::uint64_t>, static_cast<std::size_t>(tfa::AbortCause::kCauseCount)>
       aborts_root_{};
-  std::atomic<std::uint64_t> nested_commits_{0};
-  std::atomic<std::uint64_t> nested_aborts_total_{0};
-  std::atomic<std::uint64_t> nested_aborts_parent_cause_{0};
-  std::atomic<std::uint64_t> nested_aborts_own_cause_{0};
-  std::atomic<std::uint64_t> enqueued_{0};
-  std::atomic<std::uint64_t> handoffs_received_{0};
-  std::atomic<std::uint64_t> handoffs_sent_{0};
-  std::atomic<std::uint64_t> backoff_expired_{0};
-  std::atomic<std::uint64_t> not_interested_{0};
-  std::atomic<std::uint64_t> conflicts_seen_{0};
-  std::atomic<std::uint64_t> wrong_owner_retries_{0};
-  std::atomic<std::uint64_t> forwardings_{0};
-  std::atomic<std::uint64_t> rpc_retries_{0};
-  std::atomic<std::uint64_t> dedup_hits_{0};
-  std::atomic<std::uint64_t> watchdog_aborts_{0};
-  std::atomic<std::uint64_t> grant_reforwards_{0};
   mutable Mutex latency_mu_{LockRank::kMetrics, "metrics-latency"};
   Histogram latency_ GUARDED_BY(latency_mu_);
 };

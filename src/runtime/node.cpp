@@ -27,10 +27,10 @@ net::Message Node::envelope(NodeId to, net::Payload payload) const {
 net::RequestCall Node::request(NodeId to, net::Payload payload) {
   const std::uint64_t id = network_.allocate_msg_id();
   auto call = pending_.open(id);
-  net::Message m = envelope(to, std::move(payload));
+  net::Message m = envelope(to, payload);
   m.msg_id = id;
   network_.send(std::move(m));
-  return net::RequestCall(&pending_, std::move(call), id);
+  return net::RequestCall(&pending_, std::move(call), id, to, std::move(payload));
 }
 
 void Node::post(NodeId to, net::Payload payload) {
@@ -55,7 +55,7 @@ void Node::reply_routed(NodeId to, std::uint64_t reply_to, net::Payload payload)
 
 void Node::resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
                   net::Payload payload) {
-  metrics_.add_rpc_retry();
+  metrics_.add(Counter::rpc_retries);
   net::Message m = envelope(to, std::move(payload));
   m.msg_id = msg_id;    // same id: replies of any attempt match the call
   m.attempt = attempt;  // new ordinal: the fault injector re-rolls its dice
@@ -72,7 +72,7 @@ void Node::handle_message(net::Message msg) {
   if (seen.duplicate) {
     // Retry or network duplicate of a request already executed: never run
     // the handler twice — replay the recorded reply, or swallow a one-way.
-    metrics_.add_dedup_hit();
+    metrics_.add(Counter::dedup_hits);
     if (seen.reply) {
       net::Message m = envelope(msg.from, *seen.reply);
       m.reply_to = msg.msg_id;

@@ -54,7 +54,6 @@ class Node final : public net::Comm {
   void resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
               net::Payload payload) override;
   const net::RetryPolicy& retry_policy() const override { return rpc_policy_; }
-  bool closing() const override { return pending_.closed(); }
 
   // Entry point registered with the network.
   void handle_message(net::Message msg);

@@ -13,6 +13,8 @@ namespace {
 constexpr int kMaxOwnerRetries = 8;
 }  // namespace
 
+using runtime::Counter;
+
 TfaRuntime::TfaRuntime(const TfaConfig& cfg, net::Comm& comm, Mutex& owner_mu,
                        dsm::ObjectStore& store, dsm::DirectoryShard& directory,
                        dsm::OwnerResolver& resolver, core::Scheduler& scheduler,
@@ -51,7 +53,7 @@ void Txn::nested(const std::function<void(Txn&)>& body) {
       rt_.validate_child(child);
       child.merge_into_parent();
       level_.root().nested_committed += 1;
-      rt_.metrics().add_nested_commit();
+      rt_.metrics().add(Counter::nested_commits);
       return;
     } catch (const AbortException& e) {
       // A closed-nested child whose *own* entry went stale retries alone;
@@ -114,7 +116,7 @@ RunResult TfaRuntime::run(std::uint32_t profile, const std::function<void(Txn&)>
 }
 
 void TfaRuntime::abort_txn(AbortCause cause, int locus, ObjectId oid, SimDuration stall) {
-  if (cause == AbortCause::kWatchdog) metrics_.add_watchdog_abort();
+  if (cause == AbortCause::kWatchdog) metrics_.add(Counter::watchdog_aborts);
   throw AbortException{cause, locus, oid, stall};
 }
 
@@ -163,13 +165,13 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
     req.ets = net::Ets{root.wall_start(), sim_now(), root.expected_commit()};
 
     auto call = comm_.request(*owner, req);
-    const auto reply = net::reliable_wait(comm_, call, *owner, req, comm_.retry_policy());
+    const auto reply = net::reliable_wait(comm_, call, comm_.retry_policy());
     if (!reply) abort_txn(empty_wait_cause(call), 0, oid);
     const auto& resp = std::get<net::ObjectResponse>(reply->payload);
 
     if (resp.wrong_owner) {
       resolver_.invalidate(oid);
-      metrics_.add_wrong_owner_retry();
+      metrics_.add(Counter::wrong_owner_retries);
       continue;
     }
     if (resp.object) {
@@ -183,7 +185,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
       // A retried request can surface a replayed "enqueued" answer from the
       // owner's reply cache; those are skipped, only a grant (or scheduler
       // denial) ends the wait early.
-      metrics_.add_enqueued();
+      metrics_.add(Counter::enqueued);
       const SimTime deadline = sim_now() + std::max<SimDuration>(resp.backoff, sim_us(10));
       std::optional<net::Message> pushed;
       for (;;) {
@@ -196,7 +198,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
         pushed.reset();  // duplicate park notice: keep waiting
       }
       if (!pushed) {
-        metrics_.add_backoff_expired();
+        metrics_.add(Counter::backoff_expired);
         // Proactively withdraw from the queue (best effort: the owner may
         // have moved) so the hand-off chain skips us instead of waiting for
         // the orphan-reply round-trip.
@@ -208,7 +210,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
       }
       const auto& granted = std::get<net::ObjectResponse>(pushed->payload);
       if (granted.object) {
-        metrics_.add_handoff_received();
+        metrics_.add(Counter::handoffs_received);
         if (granted.handoff) comm_.post(pushed->from, net::GrantAck{oid, root.id()});
         return admit_granted(leaf, oid, mode, *pushed);
       }
@@ -254,7 +256,7 @@ void TfaRuntime::forward_if_needed(Transaction& root, std::uint64_t observed_clo
   // Transactional forwarding: the responder's clock is ahead of our start,
   // so everything read so far must be re-validated before the start clock
   // moves up (early validation; §II).
-  metrics_.add_forwarding();
+  metrics_.add(Counter::forwardings);
   validate_chain(root, /*reads_only=*/false);
   root.forward_to(observed_clock);
 }
@@ -323,11 +325,7 @@ void TfaRuntime::run_validation(std::vector<ValidateItem>& items) {
 
     for (ValidateItem& it : items) {
       if (it.done || !it.call) continue;
-      net::ValidateRequest req;
-      req.oid = it.oid;
-      req.expected_clock = it.entry->version.clock;
-      const auto reply =
-          net::reliable_wait(comm_, *it.call, it.target, req, comm_.retry_policy());
+      const auto reply = net::reliable_wait(comm_, *it.call, comm_.retry_policy());
       if (!reply) {
         const AbortCause cause = empty_wait_cause(*it.call);
         it.call.reset();
@@ -346,7 +344,7 @@ void TfaRuntime::run_validation(std::vector<ValidateItem>& items) {
     for (ValidateItem& it : items) {
       if (it.done || it.target != kInvalidNode) continue;
       resolver_.invalidate(it.oid);
-      metrics_.add_wrong_owner_retry();
+      metrics_.add(Counter::wrong_owner_retries);
       const auto owner = find_owner(it.oid);
       if (!owner) abort_txn(AbortCause::kShutdown, it.depth, it.oid);
       it.target = *owner;
@@ -408,15 +406,12 @@ void TfaRuntime::commit_root(Transaction& root) {
   // concurrently; the window is one directory round-trip, not one per object.
   {
     std::vector<net::RequestCall> calls;
-    std::vector<net::RegisterOwnerRequest> reqs;
     calls.reserve(writes.size());
-    reqs.reserve(writes.size());
     for (auto& w : writes) {
       net::RegisterOwnerRequest req;
       req.oid = w.oid;
       req.new_owner = comm_.self();
       req.version_clock = commit_clock;
-      reqs.push_back(req);
       calls.push_back(comm_.request(dsm::home_node(w.oid, comm_.cluster_size()), req));
     }
     // Registration must not give up early — a half-registered write set
@@ -426,8 +421,7 @@ void TfaRuntime::commit_root(Transaction& root) {
     // clocks), then the locks are released and the commit aborts.
     const net::RetryPolicy policy = comm_.retry_policy().scaled(3);
     for (std::size_t i = 0; i < calls.size(); ++i) {
-      const NodeId home = dsm::home_node(writes[i].oid, comm_.cluster_size());
-      if (net::reliable_wait(comm_, calls[i], home, reqs[i], policy)) continue;
+      if (net::reliable_wait(comm_, calls[i], policy)) continue;
       const AbortCause cause = empty_wait_cause(calls[i]);
       if (cause == AbortCause::kWatchdog) {
         HYFLOW_WARN("ownership registration of object ", writes[i].oid.value,
@@ -438,10 +432,8 @@ void TfaRuntime::commit_root(Transaction& root) {
           undo.oid = w.oid;
           undo.new_owner = w.owner;
           undo.version_clock = commit_clock;
-          auto undo_call =
-              comm_.request(dsm::home_node(w.oid, comm_.cluster_size()), undo);
-          net::reliable_wait(comm_, undo_call, dsm::home_node(w.oid, comm_.cluster_size()),
-                             undo, comm_.retry_policy());
+          auto undo_call = comm_.request(dsm::home_node(w.oid, comm_.cluster_size()), undo);
+          net::reliable_wait(comm_, undo_call, comm_.retry_policy());
         }
       }
       release_locks(root.id(), writes, writes.size());
@@ -525,12 +517,7 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
 
     for (std::size_t i = 0; i < writes.size(); ++i) {
       if (!calls[i]) continue;
-      net::LockRequest req;
-      req.oid = writes[i].oid;
-      req.txid = txid;
-      req.expected_clock = writes[i].entry->version.clock;
-      const auto reply =
-          net::reliable_wait(comm_, *calls[i], writes[i].owner, req, comm_.retry_policy());
+      const auto reply = net::reliable_wait(comm_, *calls[i], comm_.retry_policy());
       if (!reply) {
         const AbortCause cause = empty_wait_cause(*calls[i]);
         calls[i].reset();
@@ -549,7 +536,7 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
     for (std::size_t i = 0; i < writes.size(); ++i) {
       if (locked[i] || writes[i].owner != kInvalidNode) continue;
       resolver_.invalidate(writes[i].oid);
-      metrics_.add_wrong_owner_retry();
+      metrics_.add(Counter::wrong_owner_retries);
       const auto owner = find_owner(writes[i].oid);
       if (!owner) fail(AbortCause::kShutdown, writes[i].oid);
       writes[i].owner = *owner;
@@ -585,7 +572,7 @@ void TfaRuntime::release_remote_lock(ObjectId oid, TxnId txid, NodeId owner) {
   msg.oid = oid;
   msg.txid = txid;
   auto call = comm_.request(owner, msg);
-  if (!net::reliable_wait(comm_, call, owner, msg, comm_.retry_policy()) && !call.closed()) {
+  if (!net::reliable_wait(comm_, call, comm_.retry_policy()) && !call.closed()) {
     HYFLOW_WARN("abort-unlock of object ", oid.value, " at node ", owner,
                 " unacknowledged; lock release outcome unknown");
   }
@@ -628,18 +615,12 @@ void TfaRuntime::publish_write_set(Transaction& root, std::vector<WriteTarget>& 
   }
   for (std::size_t i = 0; i < writes.size(); ++i) {
     if (!calls[i]) continue;
-    net::CommitRequest req;
-    req.oid = writes[i].oid;
-    req.txid = txid;
-    req.new_version = version;
-    req.new_owner = comm_.self();
     // The hand-off must survive message loss: without it the old owner's
     // copy stays locked and its parked requesters are stranded. The
     // receiver's reply cache preserves the extracted queue, so a retried
     // CommitRequest is answered with the queue captured at the real
     // hand-over, never an empty one.
-    auto reply = net::reliable_wait(comm_, *calls[i], writes[i].owner, req,
-                                    comm_.retry_policy().scaled(3));
+    auto reply = net::reliable_wait(comm_, *calls[i], comm_.retry_policy().scaled(3));
     if (!reply && !calls[i]->closed()) {
       HYFLOW_WARN("commit hand-off of object ", writes[i].oid.value, " to node ",
                   comm_.self(), " unacknowledged; old owner copy stays locked");
@@ -739,7 +720,7 @@ void TfaRuntime::on_object_request(const net::Message& msg) {
   }
 
   // The object is being validated: Retrieve_Request's scheduler decision.
-  metrics_.add_conflict_seen();
+  metrics_.add(Counter::conflicts_seen);
   core::ConflictContext ctx;
   ctx.oid = req.oid;
   ctx.requester_node = msg.from;
@@ -802,7 +783,7 @@ void TfaRuntime::on_abort_unlock(const net::Message& msg) {
 
 void TfaRuntime::on_not_interested(const net::Message& msg) {
   const auto& req = std::get<net::NotInterested>(msg.payload);
-  metrics_.add_not_interested();
+  metrics_.add(Counter::not_interested);
   grants_.erase({req.oid.value, req.txid.value});
   scheduler_.remove_requester(req.oid, req.txid);
   if (store_.owns(req.oid)) {
@@ -840,7 +821,7 @@ void TfaRuntime::sweep_grants(SimTime now) {
     // The grant (or its ack) is presumed lost: forget the silent requester
     // and hand the object to the next one — a dropped Alg. 4 push must not
     // strand the rest of the queue.
-    metrics_.add_grant_reforward();
+    metrics_.add(Counter::grant_reforwards);
     scheduler_.remove_requester(g.oid, g.req.txid);
     serve_waiters(g.oid);
   }
@@ -851,7 +832,7 @@ void TfaRuntime::serve_waiters(ObjectId oid) {
   if (!slot || slot->locked_by.valid()) return;
   const auto group = scheduler_.on_object_available(oid);
   if (group.empty()) return;
-  metrics_.add_handoff_sent(group.size());
+  metrics_.add(Counter::handoffs_sent, group.size());
   for (const auto& q : group) send_grant(q, oid, slot->object, slot->version);
 }
 

@@ -1,34 +1,8 @@
-// Online statistics: Welford mean/variance and an exponentially weighted
-// moving average. Used by the transaction stats table (expected commit
-// times), the contention-level tracker and the experiment harness.
+// An exponentially weighted moving average. Used by the transaction stats
+// table (expected commit times) and the TFA runtime's lock-hold estimate.
 #pragma once
 
-#include <cstdint>
-
 namespace hyflow {
-
-// Welford's online algorithm — numerically stable single-pass mean/variance.
-class OnlineStats {
- public:
-  void add(double x);
-  void merge(const OnlineStats& other);
-  void reset();
-
-  std::uint64_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  // population variance
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 // EWMA with configurable smoothing factor; `value()` before the first sample
 // returns the provided initial estimate.

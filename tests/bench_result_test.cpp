@@ -67,6 +67,20 @@ TEST(BenchPoint, FromMetricsEmitsTheStandardVocabulary) {
   EXPECT_TRUE(has_metric(p, "abort_watchdog"));
 }
 
+// Each listed counter is emitted under its field name with its value.
+TEST(BenchPoint, FromMetricsEmitsEveryListedCounter) {
+  runtime::MetricsSnapshot delta;
+  for (std::size_t i = 0; i < runtime::kCounterCount; ++i)
+    delta.*runtime::kCounterFields[i].field = i + 1;
+  BenchPoint p;
+  p.from_metrics(delta, 1.0, 0, 0, true);
+#define EXPECT_COUNTER_KEY(counter)                                          \
+  EXPECT_DOUBLE_EQ(metric_of(p, #counter),                                   \
+                   static_cast<double>(runtime::Counter::counter) + 1);
+  HYFLOW_NODE_COUNTERS(EXPECT_COUNTER_KEY)
+#undef EXPECT_COUNTER_KEY
+}
+
 TEST(BenchPoint, ZeroWindowDoesNotDivide) {
   BenchPoint p;
   const runtime::MetricsSnapshot empty;

@@ -26,11 +26,11 @@ TEST(Metrics, SnapshotReflectsCounters) {
   metrics.add_commit(/*read_only=*/false);
   metrics.add_root_abort(tfa::AbortCause::kSchedulerDenied);
   metrics.add_root_abort(tfa::AbortCause::kEarlyValidation);
-  metrics.add_nested_commit();
+  metrics.add(Counter::nested_commits);
   metrics.add_nested_abort(/*parent_cause=*/true, 3);
   metrics.add_nested_abort(/*parent_cause=*/false);
-  metrics.add_enqueued();
-  metrics.add_handoff_received();
+  metrics.add(Counter::enqueued);
+  metrics.add(Counter::handoffs_received);
 
   const auto s = metrics.snapshot();
   EXPECT_EQ(s.commits_root, 2u);
@@ -66,6 +66,34 @@ TEST(Metrics, SnapshotSum) {
   a += b;
   EXPECT_EQ(a.commits_root, 7u);
   EXPECT_EQ(a.nested_aborts_total, 7u);
+}
+
+// Every listed counter through every operation: add, snapshot, sum,
+// difference and the saturating reversed difference. Counter i holds i + 1
+// so a field mapped to the wrong slot shows.
+TEST(Metrics, EveryListedCounterThroughEveryOperation) {
+  NodeMetrics metrics;
+  for (std::size_t i = 0; i < kCounterCount; ++i) metrics.add(static_cast<Counter>(i), i + 1);
+  const MetricsSnapshot a = metrics.snapshot();
+  MetricsSnapshot doubled = a;
+  doubled += doubled;
+  MetricsSnapshot b;
+  for (std::size_t i = 0; i < kCounterCount; ++i) b.*kCounterFields[i].field = 100 * (i + 1);
+  MetricsSnapshot sum = a;
+  sum += b;
+  const MetricsSnapshot round_trip = sum - b;
+  const MetricsSnapshot reversed = b - sum;
+#define EXPECT_COUNTER(counter)                                               \
+  {                                                                           \
+    const std::uint64_t v = static_cast<std::uint64_t>(Counter::counter) + 1; \
+    EXPECT_STREQ(kCounterFields[v - 1].name, #counter);                       \
+    EXPECT_EQ(a.counter, v) << #counter;                                      \
+    EXPECT_EQ(doubled.counter, 2 * v) << #counter;                            \
+    EXPECT_EQ(round_trip.counter, v) << #counter;                             \
+    EXPECT_EQ(reversed.counter, 0u) << #counter;                              \
+  }
+  HYFLOW_NODE_COUNTERS(EXPECT_COUNTER)
+#undef EXPECT_COUNTER
 }
 
 TEST(Metrics, EmptyNestedAbortRateIsZero) {

@@ -1,5 +1,5 @@
-// Unit tests for the util substrate: online stats, histogram, RNG, config
-// parsing and blocking queue.
+// Unit tests for the util substrate: EWMA, histogram, RNG, config parsing
+// and blocking queue.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,51 +25,6 @@ namespace hyflow {
 namespace {
 
 // ---------------------------------------------------------------- Stats ----
-
-TEST(OnlineStats, MeanVarianceMinMax) {
-  OnlineStats stats;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(x);
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_NEAR(stats.variance(), 4.0, 1e-9);
-  EXPECT_NEAR(stats.stddev(), 2.0, 1e-9);
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-  EXPECT_DOUBLE_EQ(stats.sum(), 40.0);
-}
-
-TEST(OnlineStats, MergeMatchesSinglePass) {
-  Xoshiro256 rng(123);
-  OnlineStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform() * 100;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a, b;
-  a.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats stats;
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-}
 
 TEST(Ewma, FirstSampleSeeds) {
   Ewma ewma(0.5);
