@@ -9,13 +9,13 @@ void ContentionTracker::record_request(ObjectId oid, TxnId txid, SimTime now) {
   prune(samples, now);
   const auto it = std::find_if(samples.begin(), samples.end(),
                                [&](const Sample& s) { return s.txid == txid; });
-  if (it != samples.end()) {
-    it->at = now;  // refresh, still one distinct transaction
-  } else {
-    samples.push_back(Sample{txid, now});
-    // Bound per-object memory; the CL heuristic saturates far below this.
-    if (samples.size() > 256) samples.pop_front();
-  }
+  // A repeat still counts one distinct transaction; its sample moves to the
+  // back, so the deque stays in time order and prune() can stop at the
+  // first live sample.
+  if (it != samples.end()) samples.erase(it);
+  samples.push_back(Sample{txid, now});
+  // Bound per-object memory; the CL heuristic saturates far below this.
+  if (samples.size() > 256) samples.pop_front();
 }
 
 std::uint32_t ContentionTracker::local_cl(ObjectId oid, SimTime now) const {

@@ -31,8 +31,6 @@ class ContentionTracker {
   // Ownership moved away — drop the window (the new owner starts fresh).
   void forget(ObjectId oid);
 
-  SimDuration window() const { return window_; }
-
  private:
   struct Sample {
     TxnId txid;

@@ -145,6 +145,17 @@ TEST(ContentionTracker, RepeatRefreshesWindow) {
   EXPECT_EQ(tracker.local_cl(ObjectId{1}, t0 + sim_ms(15)), 1u);  // still fresh
 }
 
+TEST(ContentionTracker, RefreshKeepsExpiryOrder) {
+  // A repeat moves its sample behind younger ones: txn 2's sample expires
+  // on time although txn 1's refreshed sample is still live.
+  ContentionTracker tracker(sim_ms(10));
+  const SimTime t0 = 1000000;
+  tracker.record_request(ObjectId{1}, TxnId{1}, t0);
+  tracker.record_request(ObjectId{1}, TxnId{2}, t0 + sim_ms(1));
+  tracker.record_request(ObjectId{1}, TxnId{1}, t0 + sim_ms(8));
+  EXPECT_EQ(tracker.local_cl(ObjectId{1}, t0 + sim_ms(15)), 1u);
+}
+
 TEST(ContentionTracker, ForgetDropsObject) {
   ContentionTracker tracker(sim_ms(10));
   tracker.record_request(ObjectId{1}, TxnId{1}, 1000);
