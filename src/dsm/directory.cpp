@@ -29,8 +29,4 @@ bool DirectoryShard::register_owner(ObjectId oid, NodeId new_owner,
   return true;
 }
 
-std::size_t DirectoryShard::size() const {
-  return entries_.size();
-}
-
 }  // namespace hyflow::dsm

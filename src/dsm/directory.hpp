@@ -36,8 +36,6 @@ class DirectoryShard {
   // if `version_clock` is older than the registered one.
   bool register_owner(ObjectId oid, NodeId new_owner, std::uint64_t version_clock);
 
-  std::size_t size() const;
-
  private:
   struct Entry {
     NodeId owner = kInvalidNode;

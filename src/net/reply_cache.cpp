@@ -19,11 +19,6 @@ void ReplyCache::record_reply(std::uint64_t msg_id, const Payload& payload) {
   if (it != entries_.end()) it->second = payload;
 }
 
-std::size_t ReplyCache::size() const {
-  MutexLock lk(mu_);
-  return entries_.size();
-}
-
 void ReplyCache::evict_locked() {
   while (entries_.size() > capacity_ && !fifo_.empty()) {
     entries_.erase(fifo_.front());

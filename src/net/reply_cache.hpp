@@ -43,13 +43,11 @@ class ReplyCache {
   // already evicted.
   void record_reply(std::uint64_t msg_id, const Payload& payload);
 
-  std::size_t size() const;
-
  private:
   void evict_locked() REQUIRES(mu_);
 
   const std::size_t capacity_;
-  mutable Mutex mu_{LockRank::kReplyCache, "ReplyCache::mu"};
+  Mutex mu_{LockRank::kReplyCache, "ReplyCache::mu"};
   std::unordered_map<std::uint64_t, std::optional<Payload>> entries_ GUARDED_BY(mu_);
   std::deque<std::uint64_t> fifo_ GUARDED_BY(mu_);  // insertion order for eviction
 };

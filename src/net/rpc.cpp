@@ -96,11 +96,6 @@ void PendingCalls::close_all() {
   }
 }
 
-void PendingCalls::reopen() {
-  MutexLock lk(mu_);
-  closed_ = false;
-}
-
 std::size_t PendingCalls::open_count() const {
   MutexLock lk(mu_);
   return calls_.size();

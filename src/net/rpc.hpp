@@ -67,10 +67,6 @@ class PendingCalls {
 
   void close_all();
 
-  // Re-arms the registry after a close_all() once every blocked caller has
-  // been joined (e.g. between measurement phases on a live cluster).
-  void reopen();
-
   std::size_t open_count() const;
 
  private:

@@ -94,14 +94,6 @@ void Histogram::subtract(const Histogram& earlier) {
   if (min_ > max_) min_ = max_;
 }
 
-void Histogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  overflow_ = 0;
-  min_ = max_ = 0;
-  sum_ = 0.0;
-}
-
 std::uint64_t Histogram::value_at_percentile(double p) const {
   if (count_ == 0) return 0;
   p = std::clamp(p, 0.0, 100.0);

@@ -28,8 +28,6 @@ class Histogram {
   // they are bucket-resolution approximations for the window.
   void subtract(const Histogram& earlier);
 
-  void reset();
-
   std::uint64_t count() const { return count_; }
   std::uint64_t value_at_percentile(double p) const;  // p in [0,100]
   std::uint64_t min() const { return count_ ? min_ : 0; }

@@ -1,5 +1,5 @@
 // An exponentially weighted moving average. Used by the transaction stats
-// table (expected commit times) and the TFA runtime's lock-hold estimate.
+// table (expected commit times) and the owner side's lock-hold estimate.
 #pragma once
 
 namespace hyflow {
@@ -14,10 +14,6 @@ class Ewma {
   void add(double x);
   double value() const { return value_; }
   bool seeded() const { return seeded_; }
-  void reset(double initial = 0.0) {
-    value_ = initial;
-    seeded_ = false;
-  }
 
  private:
   double alpha_;

@@ -262,13 +262,6 @@ TEST(PendingCalls, CloseAllUnblocksWaiters) {
   // After close, new calls fail fast.
   auto call2 = pending.open(12);
   EXPECT_FALSE(pending.wait(call2, 12, std::nullopt).has_value());
-  // reopen() re-arms.
-  pending.reopen();
-  auto call3 = pending.open(13);
-  Message reply;
-  reply.reply_to = 13;
-  EXPECT_TRUE(pending.deliver(reply));
-  EXPECT_TRUE(pending.wait(call3, 13, std::nullopt).has_value());
 }
 
 TEST(PendingCalls, UnknownReplyIsOrphan) {

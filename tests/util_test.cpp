@@ -45,9 +45,6 @@ TEST(Ewma, SmoothsSteps) {
   ewma.add(0.0);
   ewma.add(100.0);
   EXPECT_DOUBLE_EQ(ewma.value(), 20.0);
-  ewma.reset(5.0);
-  EXPECT_FALSE(ewma.seeded());
-  EXPECT_DOUBLE_EQ(ewma.value(), 5.0);
 }
 
 // ------------------------------------------------------------ Histogram ----
@@ -84,14 +81,6 @@ TEST(Histogram, MergeEqualsCombined) {
   EXPECT_EQ(a.max(), combined.max());
   EXPECT_EQ(a.value_at_percentile(50), combined.value_at_percentile(50));
   EXPECT_EQ(a.value_at_percentile(95), combined.value_at_percentile(95));
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h;
-  h.add(100);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.value_at_percentile(50), 0u);
 }
 
 // Regression: a single sample must be returned exactly for every percentile.
