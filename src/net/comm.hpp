@@ -1,7 +1,8 @@
-// Node-local communication facade used by the protocol layers (dsm
-// coherence, TFA runtime). runtime::Node implements it by combining the
-// Network, the node's PendingCalls registry, and its TFA logical clock
-// (stamped on every outgoing envelope for Lamport synchronisation).
+// Node-local communication facade used by the protocol layers (the TFA
+// requester engine and the owner side). runtime::Node implements it by
+// combining the Network, the node's PendingCalls registry, and its TFA
+// logical clock (stamped on every outgoing envelope for Lamport
+// synchronisation).
 //
 // RequestCall is the RAII handle for an outstanding request: it keeps the
 // destination and payload the request was sent with (reliable_wait resends

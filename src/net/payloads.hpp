@@ -20,6 +20,7 @@
 
 #include "dsm/object.hpp"
 #include "dsm/object_id.hpp"
+#include "dsm/object_store.hpp"
 #include "dsm/version.hpp"
 #include "util/time.hpp"
 
@@ -94,10 +95,11 @@ struct LockRequest {
   std::uint64_t expected_clock = 0;  // version the transaction read
 };
 
+// The owner's ObjectStore verdict, so a remote lock or validation maps to the
+// same abort cause as a local one.
 struct LockResponse {
   ObjectId oid;
-  bool granted = false;
-  bool wrong_owner = false;
+  dsm::ObjectStore::LockResult result = dsm::ObjectStore::LockResult::kNotOwner;
 };
 
 struct ValidateRequest {
@@ -107,9 +109,7 @@ struct ValidateRequest {
 
 struct ValidateResponse {
   ObjectId oid;
-  bool valid = false;
-  bool wrong_owner = false;
-  std::uint64_t current_clock = 0;
+  dsm::ObjectStore::ValidateResult result = dsm::ObjectStore::ValidateResult::kNotOwner;
 };
 
 // A requester parked in an object's scheduling list (Alg. 1 `Requester`,

@@ -10,13 +10,6 @@ namespace hyflow::runtime {
 namespace {
 // Two delivery lanes: a node's handlers run on lane `node % 2`.
 constexpr int kDeliveryThreads = 2;
-
-// `n`'s copy of `oid`, if `n` owns it.
-ObjectSnapshot owned_copy(Node& n, ObjectId oid) {
-  MutexLock lk(n.owner_mutex());
-  const auto slot = n.store().get(oid);
-  return slot ? slot->object : nullptr;
-}
 }  // namespace
 
 Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
@@ -41,7 +34,7 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     while (!st.stop_requested()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       const SimTime now = sim_now();
-      for (auto& n : nodes_) n->runtime().sweep_grants(now);
+      for (auto& n : nodes_) n->owner().sweep(now);
     }
   });
 }
@@ -52,29 +45,18 @@ void Cluster::create_object(std::unique_ptr<AbstractObject> obj, NodeId owner) {
   HYFLOW_ASSERT(owner < size());
   const ObjectId oid = obj->id();
   HYFLOW_ASSERT_MSG(oid.valid(), "objects need a non-zero id");
-  ObjectSnapshot snapshot{std::move(obj)};
-  {
-    MutexLock lk(node(owner).owner_mutex());
-    node(owner).store().install(snapshot, kInitialVersion);
-  }
-  Node& home = node(dsm::home_node(oid, size()));
-  MutexLock lk(home.owner_mutex());
-  home.directory().publish(oid, owner);
+  node(owner).owner().install(ObjectSnapshot{std::move(obj)}, kInitialVersion);
+  node(dsm::home_node(oid, size())).owner().publish(oid, owner);
 }
 
 ObjectSnapshot Cluster::committed_copy(ObjectId oid) {
-  Node& home = node(dsm::home_node(oid, size()));
-  const auto owner = [&] {
-    MutexLock lk(home.owner_mutex());
-    return home.directory().lookup(oid);
-  }();
-  if (owner) {
-    if (auto copy = owned_copy(node(*owner), oid)) return copy;
+  if (const auto owner = node(dsm::home_node(oid, size())).owner().directory_lookup(oid)) {
+    if (auto copy = node(*owner).owner().owned_copy(oid)) return copy;
   }
   // Directory and store can disagree transiently around shutdown; fall back
   // to a scan.
   for (auto& n : nodes_) {
-    if (auto copy = owned_copy(*n, oid)) return copy;
+    if (auto copy = n->owner().owned_copy(oid)) return copy;
   }
   return nullptr;
 }
@@ -118,8 +100,6 @@ MetricsSnapshot Cluster::total_metrics() const {
   for (const auto& n : nodes_) total += n->metrics().snapshot();
   return total;
 }
-
-Histogram Cluster::merged_latency() const { return total_metrics().latency; }
 
 void Cluster::shutdown() {
   if (shut_down_) return;

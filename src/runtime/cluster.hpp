@@ -46,7 +46,7 @@ class Cluster {
   const ClusterConfig& config() const { return cfg_; }
 
   // Places `obj` at `owner` and publishes it in the home-node directory,
-  // each under that node's owner lock.
+  // each as one owner step of that node.
   void create_object(std::unique_ptr<AbstractObject> obj, NodeId owner);
 
   // Locates the current owner's committed copy of an object by scanning
@@ -61,10 +61,9 @@ class Cluster {
   tfa::RunResult execute(NodeId node, std::uint32_t profile,
                          const std::function<void(tfa::Txn&)>& body);
 
+  // Sums every node's counters and commit-latency histogram; safe to read
+  // live, not just after stop_workers().
   MetricsSnapshot total_metrics() const;
-  // Cluster-wide commit-latency histogram (from per-node metrics); safe to
-  // read live, not just after stop_workers().
-  Histogram merged_latency() const;
 
   // Stops workers, unblocks pending calls, stops the network.
   void shutdown();

@@ -36,11 +36,9 @@ ExperimentResult run_experiment(workloads::Workload& workload, const ExperimentC
   result.abort_ratio = result.delta.abort_ratio();
   result.messages = messages_after - messages_before;
   result.bytes = bytes_after - bytes_before;
-  for (NodeId id = 0; id < cluster.size(); ++id) {
-    Node& node = cluster.node(id);
-    MutexLock lk(node.owner_mutex());
-    result.queue_residue += node.scheduler().total_queued();
-  }
+  result.report = collect_report(cluster);
+  for (const NodeReport& node : result.report.nodes)
+    result.queue_residue += node.queued_requesters;
 
   if (cfg.verify) {
     result.verified = workload.verify(cluster);

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "runtime/cluster.hpp"
+#include "runtime/report.hpp"
 #include "util/time.hpp"
 
 namespace hyflow::workloads {
@@ -32,6 +33,7 @@ struct ExperimentResult {
   std::uint64_t messages = 0;        // transport messages in the window
   std::uint64_t bytes = 0;           // transport bytes in the window
   std::uint64_t queue_residue = 0;   // requesters still parked at the end
+  ClusterReport report;              // collected after the workers stopped
   bool verified = true;
 
   std::string summary() const;

@@ -7,13 +7,8 @@ Node::Node(NodeId id, net::Network& network, const NodeConfig& cfg)
       network_(network),
       rpc_policy_(cfg.rpc),
       stats_(cfg.tfa.default_expected_duration),
-      contention_(cfg.scheduler.contention_window),
-      scheduler_(core::make_scheduler(cfg.scheduler)),
-      resolver_(*this) {
-  runtime_ = std::make_unique<tfa::TfaRuntime>(cfg.tfa, *this, owner_mu_, store_, directory_,
-                                               resolver_, *scheduler_, contention_, stats_,
-                                               clock_, metrics_);
-}
+      owner_(cfg.tfa, cfg.scheduler, *this, metrics_),
+      runtime_(cfg.tfa, *this, owner_, stats_, clock_, metrics_) {}
 
 net::Message Node::envelope(NodeId to, net::Payload payload) const {
   net::Message m;
@@ -65,7 +60,7 @@ void Node::resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
 void Node::handle_message(net::Message msg) {
   clock_.advance_to(msg.sender_clock);  // Lamport receive rule
   if (msg.reply_to != 0) {
-    if (!pending_.deliver(msg)) runtime_->handle_orphan_reply(msg);
+    if (!pending_.deliver(msg)) runtime_.handle_orphan_reply(msg);
     return;
   }
   const auto seen = reply_cache_.admit(msg.msg_id);
@@ -80,7 +75,7 @@ void Node::handle_message(net::Message msg) {
     }
     return;
   }
-  runtime_->handle_request(msg);
+  owner_.handle(msg);
 }
 
 void Node::close_pending() { pending_.close_all(); }

@@ -1,31 +1,19 @@
-// A logical cluster node: TM proxy, object store, directory shard,
-// scheduler, stats table, logical clock and the TFA protocol engine, glued
-// to the network through the Comm facade.
+// A logical cluster node: TM proxy, owner side, stats table, logical clock
+// and the TFA requester engine, glued to the network through the Comm facade.
 //
 // Message flow: Network delivery threads call handle_message(); replies are
 // routed to the node's pending calls (orphans trigger the NotInterested
-// protocol), requests go to the TFA runtime's owner-side handlers. Worker
-// threads run transactions through `runtime().run(...)`.
-//
-// The owner lock guards the store, the directory shard, the scheduler and
-// the contention tracker. The runtime takes it for every owner-side step;
-// other code that reads or changes them on a live cluster (object placement,
-// audits, reports) takes it through owner_mutex().
+// protocol), requests go to the OwnerCore's handlers. Worker threads run
+// transactions through `runtime().run(...)`.
 #pragma once
 
-#include <memory>
-
-#include "core/contention.hpp"
-#include "core/scheduler.hpp"
-#include "dsm/coherence.hpp"
-#include "dsm/directory.hpp"
-#include "dsm/object_store.hpp"
 #include "net/comm.hpp"
 #include "net/network.hpp"
 #include "net/reply_cache.hpp"
 #include "net/rpc.hpp"
 #include "runtime/metrics.hpp"
 #include "tfa/node_clock.hpp"
+#include "tfa/owner_core.hpp"
 #include "tfa/stats_table.hpp"
 #include "tfa/tfa_runtime.hpp"
 
@@ -61,12 +49,12 @@ class Node final : public net::Comm {
   // Unblocks every worker waiting on an RPC; call before joining workers.
   void close_pending();
 
-  Mutex& owner_mutex() RETURN_CAPABILITY(owner_mu_) { return owner_mu_; }
-
-  tfa::TfaRuntime& runtime() { return *runtime_; }
-  dsm::ObjectStore& store() { return store_; }
-  dsm::DirectoryShard& directory() { return directory_; }
-  core::Scheduler& scheduler() { return *scheduler_; }
+  tfa::TfaRuntime& runtime() { return runtime_; }
+  tfa::OwnerCore& owner() { return owner_; }
+  // OwnerCore's unlocked views, for tests and reads after quiesce.
+  dsm::ObjectStore& store() { return owner_.store(); }
+  dsm::DirectoryShard& directory() { return owner_.directory(); }
+  core::Scheduler& scheduler() { return owner_.scheduler(); }
   NodeMetrics& metrics() { return metrics_; }
   const NodeMetrics& metrics() const { return metrics_; }
   tfa::NodeClock& clock() { return clock_; }
@@ -80,16 +68,11 @@ class Node final : public net::Comm {
   net::PendingCalls pending_;
   net::RetryPolicy rpc_policy_;
   net::ReplyCache reply_cache_;  // request dedup for at-least-once delivery
-  Mutex owner_mu_{LockRank::kOwner, "Node::owner_mu"};
-  dsm::ObjectStore store_;
-  dsm::DirectoryShard directory_;
   tfa::NodeClock clock_;
   tfa::StatsTable stats_;
-  core::ContentionTracker contention_;
-  std::unique_ptr<core::Scheduler> scheduler_;
-  dsm::OwnerResolver resolver_;
   NodeMetrics metrics_;
-  std::unique_ptr<tfa::TfaRuntime> runtime_;
+  tfa::OwnerCore owner_;
+  tfa::TfaRuntime runtime_;
 };
 
 }  // namespace hyflow::runtime

@@ -12,11 +12,8 @@ ClusterReport collect_report(Cluster& cluster) {
     NodeReport nr;
     nr.node = id;
     nr.metrics = node.metrics().snapshot();
-    {
-      MutexLock lk(node.owner_mutex());
-      nr.owned_objects = node.store().size();
-      nr.queued_requesters = node.scheduler().total_queued();
-    }
+    nr.owned_objects = node.owner().owned_objects();
+    nr.queued_requesters = node.owner().queued_requesters();
     nr.clock = node.clock().read();
     report.totals += nr.metrics;
     report.total_objects += nr.owned_objects;

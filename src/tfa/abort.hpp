@@ -17,10 +17,10 @@ namespace hyflow::tfa {
 
 enum class AbortCause : std::uint8_t {
   kNone = 0,
-  kEarlyValidation,   // forwarding/commit validation found a stale entry
+  kEarlyValidation,   // forwarding/commit validation, or a commit lock, found a stale entry
   kSchedulerDenied,   // requested an object under validation; scheduler said abort
   kBackoffExpired,    // enqueued, but the object never arrived in time
-  kLockConflict,      // commit-time lock denied (busy or version mismatch)
+  kLockConflict,      // commit-time lock busy: another commit holds it
   kShutdown,          // cluster stopping
   kUserRetry,         // workload-requested restart
   kWatchdog,          // RPC retry budget exhausted: peer unreachable/reply lost

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "dsm/directory.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -15,22 +16,9 @@ constexpr int kMaxOwnerRetries = 8;
 
 using runtime::Counter;
 
-TfaRuntime::TfaRuntime(const TfaConfig& cfg, net::Comm& comm, Mutex& owner_mu,
-                       dsm::ObjectStore& store, dsm::DirectoryShard& directory,
-                       dsm::OwnerResolver& resolver, core::Scheduler& scheduler,
-                       core::ContentionTracker& contention, StatsTable& stats,
-                       NodeClock& clock, runtime::NodeMetrics& metrics)
-    : cfg_(cfg),
-      comm_(comm),
-      owner_mu_(owner_mu),
-      store_(store),
-      directory_(directory),
-      resolver_(resolver),
-      scheduler_(scheduler),
-      contention_(contention),
-      stats_(stats),
-      clock_(clock),
-      metrics_(metrics) {}
+TfaRuntime::TfaRuntime(const TfaConfig& cfg, net::Comm& comm, OwnerCore& owner,
+                       StatsTable& stats, NodeClock& clock, runtime::NodeMetrics& metrics)
+    : cfg_(cfg), comm_(comm), owner_(owner), stats_(stats), clock_(clock), metrics_(metrics) {}
 
 // ---------------------------------------------------------------------------
 // User handle
@@ -170,7 +158,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
     const auto& resp = std::get<net::ObjectResponse>(reply->payload);
 
     if (resp.wrong_owner) {
-      resolver_.invalidate(oid);
+      owner_.forget_owner(oid);
       metrics_.add(Counter::wrong_owner_retries);
       continue;
     }
@@ -225,11 +213,18 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
 }
 
 std::optional<NodeId> TfaRuntime::find_owner(ObjectId oid) {
-  {
-    MutexLock lk(owner_mu_);
-    if (store_.owns(oid)) return comm_.self();
+  if (const auto known = owner_.known_owner(oid)) return known;
+  auto call =
+      comm_.request(dsm::home_node(oid, comm_.cluster_size()), net::FindOwnerRequest{oid});
+  const auto reply = net::reliable_wait(comm_, call, comm_.retry_policy());
+  if (!reply) return std::nullopt;  // shutdown, or retry budget exhausted
+  const auto& resp = std::get<net::FindOwnerResponse>(reply->payload);
+  if (!resp.known) {
+    HYFLOW_WARN("find_owner: object ", oid.value, " unknown to directory");
+    return std::nullopt;
   }
-  return resolver_.find_owner(oid);
+  owner_.note_owner(oid, resp.owner);
+  return resp.owner;
 }
 
 AccessEntry& TfaRuntime::admit_granted(Transaction& leaf, ObjectId oid, net::AccessMode mode,
@@ -247,7 +242,7 @@ AccessEntry& TfaRuntime::admit_granted(Transaction& leaf, ObjectId oid, net::Acc
   e.fetch_depth = leaf.depth();
   AccessEntry& ref = leaf.set().insert(oid, std::move(e));
   if (mode == net::AccessMode::kWrite) ref.mutable_copy();
-  resolver_.note_owner(oid, reply.from);
+  owner_.note_owner(oid, reply.from);
   return ref;
 }
 
@@ -294,26 +289,26 @@ void TfaRuntime::run_validation(std::vector<ValidateItem>& items) {
   // are issued concurrently — validation is a logical step, not a serial
   // walk, and a serial walk would stretch every forwarding by
   // read-set-size round-trips.
+  // One verdict, from this node's own store or from a remote owner.
+  const auto apply = [&](ValidateItem& it, dsm::ObjectStore::ValidateResult result) {
+    switch (result) {
+      case dsm::ObjectStore::ValidateResult::kValid:
+        it.done = true;
+        return;
+      case dsm::ObjectStore::ValidateResult::kInvalid:
+        abort_txn(AbortCause::kEarlyValidation, it.depth, it.oid);
+      case dsm::ObjectStore::ValidateResult::kNotOwner:
+        it.target = kInvalidNode;  // re-resolve below
+        return;
+    }
+  };
   for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
     bool all_done = true;
     for (ValidateItem& it : items) {
       if (it.done) continue;
       all_done = false;
       if (it.target == comm_.self()) {
-        const auto result = [&] {
-          MutexLock lk(owner_mu_);
-          return store_.validate(it.oid, it.entry->version.clock, kInvalidTxn);
-        }();
-        switch (result) {
-          case dsm::ObjectStore::ValidateResult::kValid:
-            it.done = true;
-            break;
-          case dsm::ObjectStore::ValidateResult::kInvalid:
-            abort_txn(AbortCause::kEarlyValidation, it.depth, it.oid);
-          case dsm::ObjectStore::ValidateResult::kNotOwner:
-            it.target = kInvalidNode;  // re-resolve below
-            break;
-        }
+        apply(it, owner_.validate(it.oid, it.entry->version.clock));
       } else {
         net::ValidateRequest req;
         req.oid = it.oid;
@@ -332,18 +327,11 @@ void TfaRuntime::run_validation(std::vector<ValidateItem>& items) {
         abort_txn(cause, it.depth, it.oid);
       }
       it.call.reset();
-      const auto& resp = std::get<net::ValidateResponse>(reply->payload);
-      if (resp.valid) {
-        it.done = true;
-      } else if (!resp.wrong_owner) {
-        abort_txn(AbortCause::kEarlyValidation, it.depth, it.oid);
-      } else {
-        it.target = kInvalidNode;
-      }
+      apply(it, std::get<net::ValidateResponse>(reply->payload).result);
     }
     for (ValidateItem& it : items) {
       if (it.done || it.target != kInvalidNode) continue;
-      resolver_.invalidate(it.oid);
+      owner_.forget_owner(it.oid);
       metrics_.add(Counter::wrong_owner_retries);
       const auto owner = find_owner(it.oid);
       if (!owner) abort_txn(AbortCause::kShutdown, it.depth, it.oid);
@@ -394,7 +382,7 @@ void TfaRuntime::commit_root(Transaction& root) {
   try {
     validate_chain(root, /*reads_only=*/true);
   } catch (...) {
-    release_locks(root.id(), writes, writes.size());
+    release_locks(root.id(), writes);
     throw;
   }
 
@@ -436,7 +424,7 @@ void TfaRuntime::commit_root(Transaction& root) {
           net::reliable_wait(comm_, undo_call, comm_.retry_policy());
         }
       }
-      release_locks(root.id(), writes, writes.size());
+      release_locks(root.id(), writes);
       abort_txn(cause, 0, writes[i].oid);
     }
   }
@@ -452,16 +440,6 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
   std::vector<bool> locked(writes.size(), false);
   std::vector<std::optional<net::RequestCall>> calls(writes.size());
 
-  const auto release_granted = [&] {
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (!locked[i]) continue;
-      if (writes[i].owner == comm_.self()) {
-        release_local_lock(writes[i].oid, txid);
-      } else {
-        release_remote_lock(writes[i].oid, txid, writes[i].owner);
-      }
-    }
-  };
   const auto fail = [&](AbortCause cause, ObjectId oid) {
     // Collect outstanding grants before releasing, so no lock leaks. A call
     // that stays silent is treated as granted: the pessimistic unlock it
@@ -470,14 +448,31 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
       if (!calls[i]) continue;
       if (auto reply = calls[i]->poll_for(comm_.retry_policy().base_timeout)) {
         const auto& resp = std::get<net::LockResponse>(reply->payload);
-        if (resp.granted) locked[i] = true;
+        if (resp.result == dsm::ObjectStore::LockResult::kGranted) locked[i] = true;
       } else if (!calls[i]->closed()) {
         locked[i] = true;  // unknown outcome: release pessimistically
       }
       calls[i].reset();
     }
-    release_granted();
+    for (std::size_t i = 0; i < writes.size(); ++i)
+      if (locked[i]) release_lock(writes[i].oid, txid, writes[i].owner);
     abort_txn(cause, 0, oid);
+  };
+  // One verdict, from this node's own store or from a remote owner.
+  const auto apply = [&](std::size_t i, dsm::ObjectStore::LockResult result) {
+    switch (result) {
+      case dsm::ObjectStore::LockResult::kGranted:
+        locked[i] = true;
+        return;
+      case dsm::ObjectStore::LockResult::kBusy:
+        return fail(AbortCause::kLockConflict, writes[i].oid);
+      case dsm::ObjectStore::LockResult::kVersionMismatch:
+        // The version read went stale: the lock doubles as validation.
+        return fail(AbortCause::kEarlyValidation, writes[i].oid);
+      case dsm::ObjectStore::LockResult::kNotOwner:
+        writes[i].owner = kInvalidNode;  // re-resolve below
+        return;
+    }
   };
 
   for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
@@ -487,24 +482,7 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
       all_locked = false;
       WriteTarget& w = writes[i];
       if (w.owner == comm_.self()) {
-        const auto result = [&] {
-          MutexLock lk(owner_mu_);
-          return store_.lock(w.oid, txid, w.entry->version.clock);
-        }();
-        switch (result) {
-          case dsm::ObjectStore::LockResult::kGranted:
-            locked[i] = true;
-            break;
-          case dsm::ObjectStore::LockResult::kBusy:
-            fail(AbortCause::kLockConflict, w.oid);
-            break;
-          case dsm::ObjectStore::LockResult::kVersionMismatch:
-            fail(AbortCause::kEarlyValidation, w.oid);
-            break;
-          case dsm::ObjectStore::LockResult::kNotOwner:
-            w.owner = kInvalidNode;  // re-resolve below
-            break;
-        }
+        apply(i, owner_.lock(w.oid, txid, w.entry->version.clock));
       } else {
         net::LockRequest req;
         req.oid = w.oid;
@@ -524,18 +502,11 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
         fail(cause, writes[i].oid);
       }
       calls[i].reset();
-      const auto& resp = std::get<net::LockResponse>(reply->payload);
-      if (resp.granted) {
-        locked[i] = true;
-      } else if (resp.wrong_owner) {
-        writes[i].owner = kInvalidNode;
-      } else {
-        fail(AbortCause::kLockConflict, writes[i].oid);
-      }
+      apply(i, std::get<net::LockResponse>(reply->payload).result);
     }
     for (std::size_t i = 0; i < writes.size(); ++i) {
       if (locked[i] || writes[i].owner != kInvalidNode) continue;
-      resolver_.invalidate(writes[i].oid);
+      owner_.forget_owner(writes[i].oid);
       metrics_.add(Counter::wrong_owner_retries);
       const auto owner = find_owner(writes[i].oid);
       if (!owner) fail(AbortCause::kShutdown, writes[i].oid);
@@ -545,27 +516,12 @@ void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& wri
   fail(AbortCause::kLockConflict, writes.front().oid);
 }
 
-void TfaRuntime::release_locks(const TxnId txid, const std::vector<WriteTarget>& writes,
-                               std::size_t count) {
-  for (std::size_t i = 0; i < count && i < writes.size(); ++i) {
-    const WriteTarget& w = writes[i];
-    if (w.owner == comm_.self()) {
-      release_local_lock(w.oid, txid);
-    } else {
-      release_remote_lock(w.oid, txid, w.owner);
-    }
-  }
+void TfaRuntime::release_locks(TxnId txid, const std::vector<WriteTarget>& writes) {
+  for (const WriteTarget& w : writes) release_lock(w.oid, txid, w.owner);
 }
 
-void TfaRuntime::release_local_lock(ObjectId oid, TxnId txid) {
-  MutexLock lk(owner_mu_);
-  if (auto slot = store_.get(oid); slot && slot->locked_by == txid)
-    record_hold(slot->locked_at);
-  store_.unlock(oid, txid);
-  serve_waiters(oid);
-}
-
-void TfaRuntime::release_remote_lock(ObjectId oid, TxnId txid, NodeId owner) {
+void TfaRuntime::release_lock(ObjectId oid, TxnId txid, NodeId owner) {
+  if (owner == comm_.self()) return owner_.release(oid, txid);
   // Acked, retried release: a lost AbortUnlock would leave the object
   // locked at the owner with nobody left to unlock it.
   net::AbortUnlock msg;
@@ -591,20 +547,11 @@ void TfaRuntime::publish_write_set(Transaction& root, std::vector<WriteTarget>& 
     WriteTarget& w = writes[i];
     ObjectSnapshot snapshot = std::move(w.entry->working);
     if (w.owner == comm_.self()) {
-      MutexLock lk(owner_mu_);
-      if (auto slot = store_.get(w.oid); slot && slot->locked_by == txid)
-        record_hold(slot->locked_at);
-      const bool ok = store_.commit_in_place(w.oid, txid, snapshot, version);
-      HYFLOW_ASSERT_MSG(ok, "commit_in_place on a lock we hold must succeed");
-      serve_waiters(w.oid);
+      owner_.commit_in_place(w.oid, txid, std::move(snapshot), version);
     } else {
       // Install locally first — the directory already points here, so the
       // new copy must be servable before the old owner's slot goes away.
-      {
-        MutexLock lk(owner_mu_);
-        store_.install(snapshot, version);
-      }
-      resolver_.note_owner(w.oid, comm_.self());
+      owner_.install(snapshot, version);
       net::CommitRequest req;
       req.oid = w.oid;
       req.txid = txid;
@@ -626,35 +573,12 @@ void TfaRuntime::publish_write_set(Transaction& root, std::vector<WriteTarget>& 
                   comm_.self(), " unacknowledged; old owner copy stays locked");
     }
     // The commit stands either way: locks were held, reads validated and
-    // ownership registered before publication began.
-    MutexLock lk(owner_mu_);
-    if (reply) {
-      // Inherit the previous owner's scheduling queue (Alg. 4: the node
-      // invoking the committed transaction receives the requester lists).
-      scheduler_.absorb_queue(writes[i].oid,
-                              std::move(std::get<net::CommitResponse>(reply->payload).queue));
-    }
-    serve_waiters(writes[i].oid);
+    // ownership registered before publication began. Inherit the previous
+    // owner's scheduling queue and serve it.
+    owner_.absorb(writes[i].oid,
+                  reply ? std::move(std::get<net::CommitResponse>(reply->payload).queue)
+                        : std::vector<net::QueuedRequester>{});
   }
-}
-
-// ---------------------------------------------------------------------------
-// Owner side
-// ---------------------------------------------------------------------------
-
-void TfaRuntime::handle_request(const net::Message& msg) {
-  MutexLock lk(owner_mu_);
-  if (std::holds_alternative<net::FindOwnerRequest>(msg.payload)) return on_find_owner(msg);
-  if (std::holds_alternative<net::RegisterOwnerRequest>(msg.payload))
-    return on_register_owner(msg);
-  if (std::holds_alternative<net::ObjectRequest>(msg.payload)) return on_object_request(msg);
-  if (std::holds_alternative<net::LockRequest>(msg.payload)) return on_lock(msg);
-  if (std::holds_alternative<net::ValidateRequest>(msg.payload)) return on_validate(msg);
-  if (std::holds_alternative<net::CommitRequest>(msg.payload)) return on_commit(msg);
-  if (std::holds_alternative<net::AbortUnlock>(msg.payload)) return on_abort_unlock(msg);
-  if (std::holds_alternative<net::NotInterested>(msg.payload)) return on_not_interested(msg);
-  if (std::holds_alternative<net::GrantAck>(msg.payload)) return on_grant_ack(msg);
-  HYFLOW_WARN("unhandled request payload: ", net::payload_name(msg.payload));
 }
 
 void TfaRuntime::handle_orphan_reply(const net::Message& msg) {
@@ -667,204 +591,6 @@ void TfaRuntime::handle_orphan_reply(const net::Message& msg) {
     ni.txid = resp->txid;
     comm_.post(msg.from, ni);
   }
-}
-
-void TfaRuntime::on_find_owner(const net::Message& msg) {
-  const auto& req = std::get<net::FindOwnerRequest>(msg.payload);
-  const auto owner = directory_.lookup(req.oid);
-  net::FindOwnerResponse resp;
-  resp.oid = req.oid;
-  resp.owner = owner.value_or(kInvalidNode);
-  resp.known = owner.has_value();
-  comm_.reply(msg, resp);
-}
-
-void TfaRuntime::on_register_owner(const net::Message& msg) {
-  const auto& req = std::get<net::RegisterOwnerRequest>(msg.payload);
-  net::RegisterOwnerResponse resp;
-  resp.oid = req.oid;
-  resp.ok = directory_.register_owner(req.oid, req.new_owner, req.version_clock);
-  comm_.reply(msg, resp);
-}
-
-void TfaRuntime::on_object_request(const net::Message& msg) {
-  const auto& req = std::get<net::ObjectRequest>(msg.payload);
-  const SimTime now = sim_now();
-
-  net::ObjectResponse resp;
-  resp.oid = req.oid;
-  resp.txid = req.txid;
-
-  const auto slot = store_.get(req.oid);
-  if (!slot) {
-    resp.wrong_owner = true;
-    comm_.reply(msg, resp);
-    return;
-  }
-
-  contention_.record_request(req.oid, req.txid, now);
-
-  if (!slot->locked_by.valid()) {
-    // Free object: grant a copy immediately. Drop any stale queue entry
-    // left by an earlier attempt of the same transaction.
-    scheduler_.remove_requester(req.oid, req.txid);
-    resp.object = slot->object;
-    resp.version = slot->version;
-    resp.owner_cl = contention_.local_cl(req.oid, now);
-    comm_.reply(msg, resp);
-    // A free object with parked requesters means a hand-off chain stalled
-    // (its head aborted before committing this object); use the ambient
-    // request to drain it rather than letting the queue wait out backoffs.
-    serve_waiters(req.oid);
-    return;
-  }
-
-  // The object is being validated: Retrieve_Request's scheduler decision.
-  metrics_.add(Counter::conflicts_seen);
-  core::ConflictContext ctx;
-  ctx.oid = req.oid;
-  ctx.requester_node = msg.from;
-  ctx.request_msg_id = msg.msg_id;
-  ctx.request = req;
-  ctx.local_cl = contention_.local_cl(req.oid, now);
-  ctx.validator_remaining = validator_remaining(*slot, now);
-  ctx.now = now;
-  const auto decision = scheduler_.on_conflict(ctx);
-  resp.backoff = decision.backoff;
-  resp.enqueued = decision.action == core::ConflictAction::kEnqueue;
-  comm_.reply(msg, resp);
-}
-
-void TfaRuntime::on_lock(const net::Message& msg) {
-  const auto& req = std::get<net::LockRequest>(msg.payload);
-  const auto result = store_.lock(req.oid, req.txid, req.expected_clock);
-  net::LockResponse resp;
-  resp.oid = req.oid;
-  resp.granted = result == dsm::ObjectStore::LockResult::kGranted;
-  resp.wrong_owner = result == dsm::ObjectStore::LockResult::kNotOwner;
-  comm_.reply(msg, resp);
-}
-
-void TfaRuntime::on_validate(const net::Message& msg) {
-  const auto& req = std::get<net::ValidateRequest>(msg.payload);
-  const auto result = store_.validate(req.oid, req.expected_clock, kInvalidTxn);
-  net::ValidateResponse resp;
-  resp.oid = req.oid;
-  resp.valid = result == dsm::ObjectStore::ValidateResult::kValid;
-  resp.wrong_owner = result == dsm::ObjectStore::ValidateResult::kNotOwner;
-  comm_.reply(msg, resp);
-}
-
-void TfaRuntime::on_commit(const net::Message& msg) {
-  const auto& req = std::get<net::CommitRequest>(msg.payload);
-  if (const auto view = store_.evict(req.oid, req.txid); view && view->locked_by.valid())
-    record_hold(view->locked_at);
-  net::CommitResponse resp;
-  resp.oid = req.oid;
-  // Hand the scheduling queue over to the new owner.
-  resp.queue = scheduler_.extract_queue(req.oid);
-  contention_.forget(req.oid);
-  resolver_.note_owner(req.oid, req.new_owner);
-  comm_.reply(msg, resp);
-}
-
-void TfaRuntime::on_abort_unlock(const net::Message& msg) {
-  const auto& req = std::get<net::AbortUnlock>(msg.payload);
-  if (auto slot = store_.get(req.oid); slot && slot->locked_by == req.txid)
-    record_hold(slot->locked_at);
-  store_.unlock(req.oid, req.txid);
-  // Acknowledge so the releaser's retry loop stops (the reply to a legacy
-  // one-way post is dropped as an uninteresting orphan).
-  comm_.reply(msg, net::Ack{req.oid});
-  // "If Tk aborts, the objects that Tk is using will be released, and the
-  // other transactions will obtain the objects." (§III-A)
-  serve_waiters(req.oid);
-}
-
-void TfaRuntime::on_not_interested(const net::Message& msg) {
-  const auto& req = std::get<net::NotInterested>(msg.payload);
-  metrics_.add(Counter::not_interested);
-  grants_.erase({req.oid.value, req.txid.value});
-  scheduler_.remove_requester(req.oid, req.txid);
-  if (store_.owns(req.oid)) {
-    serve_waiters(req.oid);
-    return;
-  }
-  // An Alg. 4 hand-off moved the object, and with it the queue holding this
-  // requester, after the requester parked here: pass the withdrawal on to
-  // the node this one handed the object to. The hop bound stops a cycle of
-  // hints, which a late fetch reply from a former owner can close.
-  const auto next = resolver_.hint(req.oid);
-  if (!next || *next == comm_.self() || req.hops + 1 >= comm_.cluster_size()) return;
-  net::NotInterested forward = req;
-  forward.hops += 1;
-  comm_.post(*next, forward);
-}
-
-void TfaRuntime::on_grant_ack(const net::Message& msg) {
-  const auto& req = std::get<net::GrantAck>(msg.payload);
-  grants_.erase({req.oid.value, req.txid.value});
-}
-
-void TfaRuntime::sweep_grants(SimTime now) {
-  MutexLock lk(owner_mu_);
-  std::vector<PendingGrant> expired;
-  for (auto it = grants_.begin(); it != grants_.end();) {
-    if (it->second.deadline <= now) {
-      expired.push_back(it->second);
-      it = grants_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (const PendingGrant& g : expired) {
-    // The grant (or its ack) is presumed lost: forget the silent requester
-    // and hand the object to the next one — a dropped Alg. 4 push must not
-    // strand the rest of the queue.
-    metrics_.add(Counter::grant_reforwards);
-    scheduler_.remove_requester(g.oid, g.req.txid);
-    serve_waiters(g.oid);
-  }
-}
-
-void TfaRuntime::serve_waiters(ObjectId oid) {
-  const auto slot = store_.get(oid);
-  if (!slot || slot->locked_by.valid()) return;
-  const auto group = scheduler_.on_object_available(oid);
-  if (group.empty()) return;
-  metrics_.add(Counter::handoffs_sent, group.size());
-  for (const auto& q : group) send_grant(q, oid, slot->object, slot->version);
-}
-
-void TfaRuntime::record_hold(SimTime locked_at) {
-  if (locked_at <= 0) return;
-  const SimDuration held = sim_now() - locked_at;
-  if (held <= 0) return;
-  hold_ewma_.add(static_cast<double>(held));
-}
-
-SimDuration TfaRuntime::expected_hold() const {
-  if (!hold_ewma_.seeded()) return cfg_.default_validation_hold;
-  return static_cast<SimDuration>(hold_ewma_.value());
-}
-
-SimDuration TfaRuntime::validator_remaining(const dsm::SlotView& slot, SimTime now) const {
-  const SimDuration held_so_far = slot.locked_at > 0 ? now - slot.locked_at : 0;
-  return std::max<SimDuration>(expected_hold() - held_so_far, sim_us(100));
-}
-
-void TfaRuntime::send_grant(const net::QueuedRequester& to, ObjectId oid,
-                            const ObjectSnapshot& obj, Version version) {
-  net::ObjectResponse resp;
-  resp.oid = oid;
-  resp.txid = to.txid;
-  resp.object = obj;
-  resp.version = version;
-  resp.owner_cl = contention_.local_cl(oid, sim_now());
-  resp.handoff = true;  // requester must GrantAck or the grant is re-served
-  grants_[{oid.value, to.txid.value}] =
-      PendingGrant{oid, to, sim_now() + cfg_.grant_ack_timeout};
-  comm_.reply_routed(to.address, to.reply_msg_id, resp);
 }
 
 }  // namespace hyflow::tfa

@@ -1,43 +1,34 @@
-// Per-node TFA protocol engine — requester side (open / forward / commit)
-// and owner side (the handlers behind every protocol message), plus the
-// user-facing `Txn` handle and the retry loop.
+// Per-node TFA protocol engine, requester side: the user-facing `Txn`
+// handle, the retry loop, open / forward / validate, and the commit protocol.
 //
-// Requester side implements Alg. 2 (Open_Object): resolve the owner, send
-// the request with myCL and ETS, and interpret the response — granted,
-// wrong-owner (re-resolve), scheduler-abort, abort-with-stall (TFA+Backoff)
-// or enqueued (RTS: block up to the backoff waiting for the object to be
-// pushed). Every granted object runs TFA's transactional-forwarding rule:
-// if the responder's clock is ahead of the transaction's start, the whole
+// Open implements Alg. 2 (Open_Object): resolve the owner, send the request
+// with myCL and ETS, and interpret the response — granted, wrong-owner
+// (re-resolve), scheduler-abort, abort-with-stall (TFA+Backoff) or enqueued
+// (RTS: block up to the backoff waiting for the object to be pushed). Every
+// granted object runs TFA's transactional-forwarding rule: if the
+// responder's clock is ahead of the transaction's start, the whole
 // access-set is early-validated and the start clock forwarded.
 //
-// Owner side implements Alg. 3 (Retrieve_Request: immediate grant when the
-// slot is free, scheduler decision when it is being validated) and the
-// commit protocol whose validation window *creates* those conflicts: lock
-// write set -> validate read set -> register ownership at the home
-// directory -> transfer/install the new copies -> serve parked requesters
-// with the fresh object (Alg. 4).
+// The commit protocol's validation window *creates* the conflicts the
+// scheduler decides: lock write set -> validate read set -> register
+// ownership at the home directory -> transfer/install the new copies ->
+// serve parked requesters with the fresh object (Alg. 4).
 //
-// Owner-side state (the node's store, directory shard, scheduler, contention
-// tracker, grant table and hold estimate) is guarded by the node's one owner
-// lock. Every handler and every local owner-side step of the requester path
-// holds it from its first read to its last state change, and never across an
-// RPC wait (docs/CONCURRENCY.md).
+// The owner side lives in tfa::OwnerCore. Where an object is owned by this
+// node, the requester path calls the OwnerCore step that the matching
+// request handler runs, instead of sending itself a message.
 #pragma once
 
+#include <atomic>
 #include <functional>
-#include <map>
+#include <optional>
 #include <vector>
 
-#include "core/contention.hpp"
-#include "core/scheduler.hpp"
-#include "dsm/coherence.hpp"
-#include "dsm/directory.hpp"
-#include "dsm/object_store.hpp"
 #include "net/comm.hpp"
 #include "runtime/metrics.hpp"
 #include "tfa/abort.hpp"
-#include "util/mutex.hpp"
 #include "tfa/node_clock.hpp"
+#include "tfa/owner_core.hpp"
 #include "tfa/stats_table.hpp"
 #include "tfa/transaction.hpp"
 
@@ -105,12 +96,8 @@ struct RunResult {
 
 class TfaRuntime {
  public:
-  TfaRuntime(const TfaConfig& cfg, net::Comm& comm, Mutex& owner_mu, dsm::ObjectStore& store,
-             dsm::DirectoryShard& directory, dsm::OwnerResolver& resolver,
-             core::Scheduler& scheduler, core::ContentionTracker& contention,
-             StatsTable& stats, NodeClock& clock, runtime::NodeMetrics& metrics);
-
-  // ---- requester side ----
+  TfaRuntime(const TfaConfig& cfg, net::Comm& comm, OwnerCore& owner, StatsTable& stats,
+             NodeClock& clock, runtime::NodeMetrics& metrics);
 
   // Executes `body` as a root transaction, retrying on aborts until commit
   // or until `keep_going` returns false. Read-only roots validate at
@@ -124,18 +111,9 @@ class TfaRuntime {
   // Commit protocol for the root; throws AbortException on failure.
   void commit_root(Transaction& root);
 
-  // ---- owner side (invoked by the node's message handler) ----
-  // One owner step: takes the owner lock for the whole handler.
-  void handle_request(const net::Message& msg) EXCLUDES(owner_mu_);
-
   // A granted object arrived for an abandoned call: tell the sender we are
   // no longer interested so it forwards the object to the next requester.
   void handle_orphan_reply(const net::Message& msg);
-
-  // Grant-loss recovery (Alg. 4 under an unreliable network): expires
-  // unacknowledged grants and re-serves the object's queue. Driven
-  // periodically by the cluster's maintenance thread.
-  void sweep_grants(SimTime now) EXCLUDES(owner_mu_);
 
   runtime::NodeMetrics& metrics() { return metrics_; }
   const TfaConfig& config() const { return cfg_; }
@@ -143,7 +121,6 @@ class TfaRuntime {
  private:
   friend class Txn;
 
-  // Requester-side helpers.
   struct ValidateItem {
     ObjectId oid;
     const AccessEntry* entry;
@@ -152,9 +129,9 @@ class TfaRuntime {
     bool done = false;
     std::optional<net::RequestCall> call;
   };
-  // Find_owner: this node, if its own store holds the object, else the
-  // resolver's answer.
-  std::optional<NodeId> find_owner(ObjectId oid) EXCLUDES(owner_mu_);
+  // Find_owner: this node if its own store holds the object, else the owner
+  // hint, else the home node's directory.
+  std::optional<NodeId> find_owner(ObjectId oid);
   void forward_if_needed(Transaction& root, std::uint64_t observed_clock);
   void validate_chain(Transaction& root, bool reads_only);
   void validate_child(Transaction& child);
@@ -172,64 +149,20 @@ class TfaRuntime {
   };
   std::vector<WriteTarget> resolve_write_set(Transaction& root);
   void lock_write_set(Transaction& root, std::vector<WriteTarget>& writes);
-  void release_locks(const TxnId txid, const std::vector<WriteTarget>& writes,
-                     std::size_t count);
-  // Releases a commit lock held in this node's own store, then serves the
-  // object's queue: one owner step.
-  void release_local_lock(ObjectId oid, TxnId txid) EXCLUDES(owner_mu_);
+  void release_locks(TxnId txid, const std::vector<WriteTarget>& writes);
+  // Releases a commit lock at `owner`: a local owner step, or a reliable
+  // AbortUnlock (a lost release would wedge the object at the owner).
+  void release_lock(ObjectId oid, TxnId txid, NodeId owner);
   void publish_write_set(Transaction& root, std::vector<WriteTarget>& writes,
                          std::uint64_t commit_clock);
 
-  // Owner-side handlers.
-  void on_find_owner(const net::Message& msg) REQUIRES(owner_mu_);
-  void on_register_owner(const net::Message& msg) REQUIRES(owner_mu_);
-  void on_object_request(const net::Message& msg) REQUIRES(owner_mu_);
-  void on_lock(const net::Message& msg) REQUIRES(owner_mu_);
-  void on_validate(const net::Message& msg) REQUIRES(owner_mu_);
-  void on_commit(const net::Message& msg) REQUIRES(owner_mu_);
-  void on_abort_unlock(const net::Message& msg) REQUIRES(owner_mu_);
-  void on_not_interested(const net::Message& msg) REQUIRES(owner_mu_);
-  void on_grant_ack(const net::Message& msg) REQUIRES(owner_mu_);
-
-  // Push the current copy of `oid` to the scheduler's head group.
-  void serve_waiters(ObjectId oid) REQUIRES(owner_mu_);
-  void send_grant(const net::QueuedRequester& to, ObjectId oid, const ObjectSnapshot& obj,
-                  Version version) REQUIRES(owner_mu_);
-
-  // Releases a remotely-held commit lock reliably (a lost release would
-  // wedge the object at the owner forever).
-  void release_remote_lock(ObjectId oid, TxnId txid, NodeId owner);
-
-  // Lock-hold statistics: how long commits keep objects locked at this
-  // node; the owner-side estimate behind ConflictContext::validator_remaining.
-  void record_hold(SimTime locked_at) REQUIRES(owner_mu_);
-  SimDuration expected_hold() const REQUIRES(owner_mu_);
-  SimDuration validator_remaining(const dsm::SlotView& slot, SimTime now) const
-      REQUIRES(owner_mu_);
-
   TfaConfig cfg_;
   net::Comm& comm_;
-  Mutex& owner_mu_;
-  dsm::ObjectStore& store_ GUARDED_BY(owner_mu_);
-  dsm::DirectoryShard& directory_ GUARDED_BY(owner_mu_);
-  dsm::OwnerResolver& resolver_;
-  core::Scheduler& scheduler_ GUARDED_BY(owner_mu_);
-  core::ContentionTracker& contention_ GUARDED_BY(owner_mu_);
+  OwnerCore& owner_;
   StatsTable& stats_;
   NodeClock& clock_;
   runtime::NodeMetrics& metrics_;
   std::atomic<std::uint64_t> txn_seq_{1};
-
-  Ewma hold_ewma_ GUARDED_BY(owner_mu_){0.2};
-
-  // Outstanding Alg. 4 grants awaiting their GrantAck, keyed (oid, txid).
-  struct PendingGrant {
-    ObjectId oid;
-    net::QueuedRequester req;
-    SimTime deadline = 0;
-  };
-  std::map<std::pair<std::uint64_t, std::uint64_t>, PendingGrant> grants_
-      GUARDED_BY(owner_mu_);
 };
 
 }  // namespace hyflow::tfa

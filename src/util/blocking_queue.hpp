@@ -1,6 +1,6 @@
 // Unbounded blocking MPMC queue (mutex + condition variable; every wait
-// re-checks its predicate in a loop, CP.42). Used for node inboxes and the
-// network dispatcher.
+// re-checks its predicate in a loop, CP.42). Used for the network's
+// delivery lanes.
 //
 // `close()` wakes all waiters; `pop()` then drains remaining items and
 // finally returns nullopt — the standard shutdown protocol for worker loops.

@@ -2,7 +2,7 @@
 //
 // Clang's thread-safety analysis proves that guarded state is only touched
 // with its capability held, but it cannot see *cross-mutex ordering*: thread
-// A taking owner->hints while thread B takes hints->owner is invisible to it
+// A taking owner->cache while thread B takes cache->owner is invisible to it
 // yet deadlocks at runtime. This validator closes that gap:
 // every Mutex is constructed with a LockRank, a thread-local stack records
 // the ranks a thread currently holds, and acquiring a lock whose rank is not
@@ -31,14 +31,13 @@ namespace hyflow {
 // grants and posts, which take the network's locks below it.
 enum class LockRank : int {
   kUnranked = 0,       // opted out of ordering checks
-  kOwner = 10,         // runtime::Node::owner_mu_ — all owner-side state
+  kOwner = 10,         // tfa::OwnerCore::mu_ — all owner-side state
   kStatsTable = 55,    // tfa::StatsTable::mu_
-  kOwnerHints = 65,    // dsm::OwnerResolver::mu_
   kReplyCache = 70,    // net::ReplyCache::mu_
   kCallRegistry = 75,  // net::PendingCalls::mu_
   kCallState = 80,     // net::PendingCalls::CallState::mu
   kNetTimer = 85,      // net::Network::timer_mu_
-  kInbox = 90,         // BlockingQueue (network lanes, node inboxes)
+  kInbox = 90,         // BlockingQueue (the network's delivery lanes)
   kMetrics = 95,       // runtime::NodeMetrics::latency_mu_ — leaf
   kLog = 100,          // log sink — leaf, may be taken under anything
 };

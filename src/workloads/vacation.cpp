@@ -1,6 +1,8 @@
 #include "workloads/vacation.hpp"
 
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "runtime/cluster.hpp"
 #include "util/log.hpp"
@@ -18,6 +20,14 @@ void VacationWorkload::setup(runtime::Cluster& cluster) {
   for (auto& v : resource_shards_) v.clear();
   customer_shards_.clear();
 
+  // Every shard is built and populated before it is placed, so set-up never
+  // writes to a live store.
+  struct Placement {
+    std::unique_ptr<AbstractObject> object;
+    NodeId node;
+  };
+  std::vector<Placement> placements;
+  std::unordered_map<ObjectId, ResourceShard*> resources;
   std::uint64_t shard_index = 0;
   std::uint64_t customer_shard_index = 0;
   for (NodeId node = 0; node < n; ++node) {
@@ -25,13 +35,14 @@ void VacationWorkload::setup(runtime::Cluster& cluster) {
       const auto kind = static_cast<ResourceKind>(shard_index % kResourceKinds);
       const ObjectId oid = make_oid(IdSpace::kVacationResource, shard_index);
       auto shard = std::make_unique<ResourceShard>(oid, kind);
-      cluster.create_object(std::move(shard), node);
+      resources[oid] = shard.get();
+      placements.push_back({std::move(shard), node});
       resource_shards_[static_cast<int>(kind)].push_back(oid);
       ++shard_index;
     }
     for (int s = 0; s < customer_shards_per_node; ++s) {
       const ObjectId coid = make_oid(IdSpace::kVacationCustomer, customer_shard_index++);
-      cluster.create_object(std::make_unique<CustomerShard>(coid), node);
+      placements.push_back({std::make_unique<CustomerShard>(coid), node});
       customer_shards_.push_back(coid);
     }
   }
@@ -46,23 +57,12 @@ void VacationWorkload::setup(runtime::Cluster& cluster) {
   Xoshiro256 rng(cfg_.seed ^ 0xbadc0ffeull);
   for (int k = 0; k < kResourceKinds; ++k) {
     for (std::uint64_t r = 0; r < resources_per_kind_; ++r) {
-      const ObjectId oid = resource_shard_of(static_cast<ResourceKind>(k), r);
-      // Direct mutation during setup, before any worker.
-      for (NodeId node = 0; node < n; ++node) {
-        MutexLock lk(cluster.node(node).owner_mutex());
-        if (auto slot = cluster.node(node).store().get(oid)) {
-          auto fresh = slot->object->clone();
-          auto& shard = object_cast<ResourceShard>(*fresh);
-          shard.items()[r] =
-              ResourceItem{static_cast<std::int32_t>(64 + rng.below(64)), 0,
-                           static_cast<std::int32_t>(50 + rng.below(450))};
-          cluster.node(node).store().install(ObjectSnapshot{std::move(fresh)},
-                                             kInitialVersion);
-          break;
-        }
-      }
+      ResourceShard& shard = *resources.at(resource_shard_of(static_cast<ResourceKind>(k), r));
+      shard.items()[r] = ResourceItem{static_cast<std::int32_t>(64 + rng.below(64)), 0,
+                                      static_cast<std::int32_t>(50 + rng.below(450))};
     }
   }
+  for (Placement& p : placements) cluster.create_object(std::move(p.object), p.node);
 }
 
 ObjectId VacationWorkload::resource_shard_of(ResourceKind kind, std::uint64_t resource) const {

@@ -14,15 +14,15 @@ namespace {
 #ifdef HYFLOW_LOCK_RANK_CHECKS
 
 TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
-  // An owner step may note an owner hint (owner -> hints); taking the owner
-  // lock *after* the hint lock inverts it and must die, naming both locks.
+  // The owner lock ranks before the stats lock (owner -> stats); taking the
+  // owner lock *after* the stats lock inverts it and must die, naming both.
   auto invert = [] {
-    Mutex hints(LockRank::kOwnerHints, "test-hints");
+    Mutex stats(LockRank::kStatsTable, "test-stats");
     Mutex owner(LockRank::kOwner, "test-owner");
-    MutexLock hold_hints(hints);
-    MutexLock hold_owner(owner);  // rank 10 under rank 65: inversion
+    MutexLock hold_stats(stats);
+    MutexLock hold_owner(owner);  // rank 10 under rank 55: inversion
   };
-  EXPECT_DEATH(invert(), "lock-rank violation.*test-owner.*test-hints");
+  EXPECT_DEATH(invert(), "lock-rank violation.*test-owner.*test-stats");
 }
 
 TEST(LockRankDeathTest, EqualRankNestingAborts) {
@@ -39,11 +39,11 @@ TEST(LockRankDeathTest, EqualRankNestingAborts) {
 
 TEST(LockRank, InOrderChainPasses) {
   Mutex owner(LockRank::kOwner, "test-owner");
-  Mutex hints(LockRank::kOwnerHints, "test-hints");
+  Mutex stats(LockRank::kStatsTable, "test-stats");
   Mutex cache(LockRank::kReplyCache, "test-cache");
   {
     MutexLock hold_owner(owner);
-    MutexLock hold_hints(hints);
+    MutexLock hold_stats(stats);
     MutexLock hold_cache(cache);
     EXPECT_EQ(lock_rank::held_count(), 3);
   }
@@ -54,9 +54,9 @@ TEST(LockRank, ReleaseRestoresFreedom) {
   // Sequential (non-nested) use in any order is legal: the inversion rule
   // only applies to locks held simultaneously.
   Mutex owner(LockRank::kOwner, "test-owner");
-  Mutex hints(LockRank::kOwnerHints, "test-hints");
+  Mutex stats(LockRank::kStatsTable, "test-stats");
   {
-    MutexLock hold(hints);
+    MutexLock hold(stats);
   }
   {
     MutexLock hold(owner);  // lower rank, but nothing is held any more
@@ -65,9 +65,9 @@ TEST(LockRank, ReleaseRestoresFreedom) {
 }
 
 TEST(LockRank, TryLockIsExemptButRecorded) {
-  Mutex hints(LockRank::kOwnerHints, "test-hints");
+  Mutex stats(LockRank::kStatsTable, "test-stats");
   Mutex owner(LockRank::kOwner, "test-owner");
-  MutexLock hold(hints);
+  MutexLock hold(stats);
   // A non-blocking acquisition cannot deadlock, so inverting via try_lock
   // is allowed...
   ASSERT_TRUE(owner.try_lock());
@@ -81,15 +81,15 @@ TEST(LockRankDeathTest, BlockingAcquireAfterTryLockStillChecked) {
   // acquisition below it still trips the validator.
   auto blocked_under_trylock = [] {
     Mutex cache(LockRank::kReplyCache, "test-cache");
-    Mutex hints(LockRank::kOwnerHints, "test-hints");
+    Mutex stats(LockRank::kStatsTable, "test-stats");
     ASSERT_TRUE(cache.try_lock());
-    MutexLock hold(hints);  // rank 65 under recorded rank 70
+    MutexLock hold(stats);  // rank 55 under recorded rank 70
   };
-  EXPECT_DEATH(blocked_under_trylock(), "lock-rank violation.*test-hints.*test-cache");
+  EXPECT_DEATH(blocked_under_trylock(), "lock-rank violation.*test-stats.*test-cache");
 }
 
 TEST(LockRank, UnrankedLocksOptOut) {
-  Mutex ranked(LockRank::kOwnerHints, "test-hints");
+  Mutex ranked(LockRank::kStatsTable, "test-stats");
   Mutex unranked;  // kUnranked: utility lock, exempt from ordering
   MutexLock hold_ranked(ranked);
   {

@@ -253,7 +253,7 @@ TEST_F(NodePair, RequestWaitsForTheOwnersStep) {
   req.txid = TxnId::make(2, 1);
   req.mode = net::AccessMode::kWrite;
 
-  MutexLock step(owner.owner_mutex());
+  MutexLock step(owner.owner().mutex());
   const Version version = owner.store().get(oid)->version;
   ASSERT_EQ(owner.store().lock(oid, committer, version.clock),
             dsm::ObjectStore::LockResult::kGranted);

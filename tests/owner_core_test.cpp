@@ -1,0 +1,259 @@
+// OwnerCore without a network: a recording net::Comm captures every message
+// an owner step sends, so each test checks exactly what one step put on the
+// wire — the grant of a free object, the RTS park and the Alg. 4 hand-off,
+// grant-loss recovery, withdrawal forwarding and the lock verdict.
+#include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
+
+#include "tfa/owner_core.hpp"
+#include "tfa/tfa_runtime.hpp"
+
+namespace hyflow {
+namespace {
+
+using tfa::TfaConfig;
+
+class Box : public TxObject<Box> {
+ public:
+  explicit Box(ObjectId id, int v = 0) : TxObject(id), value(v) {}
+  int value;
+};
+
+// One message an owner step sent.
+struct Sent {
+  enum class Kind { kReply, kRoutedReply, kPost };
+  Kind kind;
+  NodeId to;
+  std::uint64_t reply_to;  // msg_id of the answered request; 0 for a post
+  net::Payload payload;
+};
+
+// A net::Comm that records instead of sending. Owner steps never wait for a
+// reply, so a request or a resend fails the test.
+class RecordingComm final : public net::Comm {
+ public:
+  RecordingComm(NodeId self, std::uint32_t size) : self_(self), size_(size) {}
+
+  NodeId self() const override { return self_; }
+  std::uint32_t cluster_size() const override { return size_; }
+  net::RequestCall request(NodeId to, net::Payload payload) override {
+    ADD_FAILURE() << "an owner step sent a request";
+    const std::uint64_t id = ++last_id_;
+    return net::RequestCall(&pending_, pending_.open(id), id, to, std::move(payload));
+  }
+  void post(NodeId to, net::Payload payload) override {
+    sent_.push_back({Sent::Kind::kPost, to, 0, std::move(payload)});
+  }
+  void reply(const net::Message& request, net::Payload payload) override {
+    sent_.push_back({Sent::Kind::kReply, request.from, request.msg_id, std::move(payload)});
+  }
+  void reply_routed(NodeId to, std::uint64_t reply_to, net::Payload payload) override {
+    sent_.push_back({Sent::Kind::kRoutedReply, to, reply_to, std::move(payload)});
+  }
+  void resend(NodeId, std::uint64_t, std::uint32_t, net::Payload) override {
+    ADD_FAILURE() << "an owner step re-sent a request";
+  }
+  const net::RetryPolicy& retry_policy() const override { return policy_; }
+
+  // Everything sent since the last call.
+  std::vector<Sent> take() { return std::exchange(sent_, {}); }
+
+ private:
+  NodeId self_;
+  std::uint32_t size_;
+  net::RetryPolicy policy_;
+  net::PendingCalls pending_;
+  std::uint64_t last_id_ = 0;
+  std::vector<Sent> sent_;
+};
+
+constexpr ObjectId kOid{42};
+constexpr Version kVersion{3, 0};
+
+// Node 0 of a 3-node cluster, running the rts row. (The fixture takes the
+// class's name so the suite reads OwnerCore.*.)
+struct OwnerCore : ::testing::Test {
+  OwnerCore() : owner(TfaConfig{}, core::SchedulerConfig{}, comm, metrics) {
+    owner.install(copy, kVersion);
+  }
+
+  static net::Message request(NodeId from, std::uint64_t msg_id, net::Payload payload) {
+    net::Message m;
+    m.from = from;
+    m.to = 0;
+    m.msg_id = msg_id;
+    m.payload = std::move(payload);
+    return m;
+  }
+
+  // A write request from a transaction that has run for a second: long
+  // enough for RTS to park it behind a validating commit.
+  static net::ObjectRequest object_request(TxnId txid) {
+    net::ObjectRequest req;
+    req.oid = kOid;
+    req.txid = txid;
+    req.mode = net::AccessMode::kWrite;
+    const SimTime now = sim_now();
+    req.ets = net::Ets{now - sim_ms(1000), now, now + sim_ms(1)};
+    return req;
+  }
+
+  static const net::ObjectResponse& object_response(const Sent& s) {
+    return std::get<net::ObjectResponse>(s.payload);
+  }
+
+  // Locks the object for `committer` and parks one waiter from each of
+  // nodes 1 and 2 (request ids 11 and 12); checks both park replies.
+  void park_two_waiters() {
+    ASSERT_EQ(owner.lock(kOid, committer, kVersion.clock),
+              dsm::ObjectStore::LockResult::kGranted);
+    owner.handle(request(1, 11, object_request(first)));
+    owner.handle(request(2, 12, object_request(second)));
+    const auto sent = comm.take();
+    ASSERT_EQ(sent.size(), 2u);
+    for (const Sent& s : sent) {
+      EXPECT_EQ(s.kind, Sent::Kind::kReply);
+      EXPECT_TRUE(object_response(s).enqueued);
+      EXPECT_EQ(object_response(s).object, nullptr);
+    }
+  }
+
+  // The hand-off of the object to the waiter behind request `reply_to`.
+  void expect_handoff(const Sent& s, NodeId to, std::uint64_t reply_to, TxnId txid) {
+    EXPECT_EQ(s.kind, Sent::Kind::kRoutedReply);
+    EXPECT_EQ(s.to, to);
+    EXPECT_EQ(s.reply_to, reply_to);
+    const auto& grant = object_response(s);
+    EXPECT_EQ(grant.txid, txid);
+    EXPECT_EQ(grant.object, copy);
+    EXPECT_EQ(grant.version, kVersion);
+    EXPECT_TRUE(grant.handoff);
+  }
+
+  RecordingComm comm{0, 3};
+  runtime::NodeMetrics metrics;
+  tfa::OwnerCore owner;
+  const ObjectSnapshot copy = std::make_shared<Box>(kOid, 7);
+  const TxnId committer = TxnId::make(0, 1);
+  const TxnId first = TxnId::make(1, 1);
+  const TxnId second = TxnId::make(2, 1);
+};
+
+TEST_F(OwnerCore, FreeObjectIsGrantedWithItsCopy) {
+  owner.handle(request(2, 11, object_request(second)));
+  const auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kReply);
+  EXPECT_EQ(sent[0].to, 2u);
+  EXPECT_EQ(sent[0].reply_to, 11u);
+  const auto& resp = object_response(sent[0]);
+  EXPECT_EQ(resp.txid, second);
+  EXPECT_EQ(resp.object, copy);
+  EXPECT_EQ(resp.version, kVersion);
+  EXPECT_EQ(resp.owner_cl, 1u);
+  EXPECT_FALSE(resp.enqueued);
+  EXPECT_FALSE(resp.handoff);
+  EXPECT_FALSE(resp.wrong_owner);
+}
+
+TEST_F(OwnerCore, RtsParksOnALockedObjectAndReleaseHandsItOff) {
+  ASSERT_EQ(owner.lock(kOid, committer, kVersion.clock),
+            dsm::ObjectStore::LockResult::kGranted);
+  EXPECT_TRUE(comm.take().empty());
+  owner.handle(request(2, 12, object_request(second)));
+  auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kReply);
+  EXPECT_EQ(sent[0].to, 2u);
+  EXPECT_EQ(sent[0].reply_to, 12u);
+  EXPECT_TRUE(object_response(sent[0]).enqueued);
+  EXPECT_GT(object_response(sent[0]).backoff, 0);
+  EXPECT_EQ(object_response(sent[0]).object, nullptr);
+
+  // The commit aborts and releases its lock: the parked request is answered
+  // by a routed grant.
+  owner.release(kOid, committer);
+  sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  expect_handoff(sent[0], 2, 12, second);
+  const auto counted = metrics.snapshot();
+  EXPECT_EQ(counted.conflicts_seen, 1u);
+  EXPECT_EQ(counted.handoffs_sent, 1u);
+}
+
+TEST_F(OwnerCore, AbortUnlockAcksThenHandsOff) {
+  // The handler twin of release(): the same step, plus the Ack.
+  ASSERT_NO_FATAL_FAILURE(park_two_waiters());
+  owner.handle(request(1, 13, net::AbortUnlock{kOid, committer}));
+  const auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kReply);
+  EXPECT_EQ(sent[0].reply_to, 13u);
+  EXPECT_TRUE(std::holds_alternative<net::Ack>(sent[0].payload));
+  expect_handoff(sent[1], 1, 11, first);
+}
+
+TEST_F(OwnerCore, SweepLeavesAnAcknowledgedGrant) {
+  ASSERT_NO_FATAL_FAILURE(park_two_waiters());
+  owner.release(kOid, committer);
+  auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  expect_handoff(sent[0], 1, 11, first);
+
+  owner.handle(request(1, 0, net::GrantAck{kOid, first}));
+  owner.sweep(sim_now() + sim_ms(1000));
+  EXPECT_TRUE(comm.take().empty());
+  EXPECT_EQ(metrics.snapshot().grant_reforwards, 0u);
+}
+
+TEST_F(OwnerCore, SweepReservesAnUnacknowledgedGrant) {
+  ASSERT_NO_FATAL_FAILURE(park_two_waiters());
+  owner.release(kOid, committer);
+  ASSERT_EQ(comm.take().size(), 1u);
+
+  // No GrantAck before the deadline: the grant is presumed lost and the
+  // object goes to the next waiter.
+  owner.sweep(sim_now() + sim_ms(1000));
+  const auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  expect_handoff(sent[0], 2, 12, second);
+  EXPECT_EQ(metrics.snapshot().grant_reforwards, 1u);
+}
+
+TEST_F(OwnerCore, WithdrawalAtANonOwnerFollowsTheHintUpToTheHopBound) {
+  // Node 0 handed the object to node 1 and no longer owns it.
+  owner.handle(request(1, 11, net::CommitRequest{kOid, committer, Version{4, 1}, 1}));
+  ASSERT_EQ(comm.take().size(), 1u);  // the hand-off reply
+  ASSERT_FALSE(owner.store().owns(kOid));
+
+  owner.handle(request(2, 0, net::NotInterested{kOid, second, 0}));
+  auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kPost);
+  EXPECT_EQ(sent[0].to, 1u);
+  const auto& forwarded = std::get<net::NotInterested>(sent[0].payload);
+  EXPECT_EQ(forwarded.oid, kOid);
+  EXPECT_EQ(forwarded.txid, second);
+  EXPECT_EQ(forwarded.hops, 1u);
+
+  // In a 3-node cluster a withdrawal is forwarded at most twice.
+  owner.handle(request(2, 0, net::NotInterested{kOid, second, 2}));
+  EXPECT_TRUE(comm.take().empty());
+  EXPECT_EQ(metrics.snapshot().not_interested, 2u);
+}
+
+TEST_F(OwnerCore, StaleLockRequestReportsTheVersionMismatch) {
+  owner.handle(request(1, 11, net::LockRequest{kOid, first, kVersion.clock - 1}));
+  const auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kReply);
+  EXPECT_EQ(sent[0].reply_to, 11u);
+  EXPECT_EQ(std::get<net::LockResponse>(sent[0].payload).result,
+            dsm::ObjectStore::LockResult::kVersionMismatch);
+  EXPECT_FALSE(owner.store().get(kOid)->locked_by.valid());
+}
+
+}  // namespace
+}  // namespace hyflow

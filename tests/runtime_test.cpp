@@ -204,8 +204,9 @@ TEST(Cluster, MergedLatencyPopulatedAfterStop) {
   cluster.start_workers(*wl);
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   cluster.stop_workers();
-  EXPECT_GT(cluster.merged_latency().count(), 0u);
-  EXPECT_GT(cluster.merged_latency().value_at_percentile(50), 0u);
+  const Histogram latency = cluster.total_metrics().latency;
+  EXPECT_GT(latency.count(), 0u);
+  EXPECT_GT(latency.value_at_percentile(50), 0u);
   cluster.shutdown();
 }
 

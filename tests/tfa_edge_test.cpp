@@ -1,6 +1,6 @@
 // Edge cases of the TFA runtime: access-mode upgrades, ownership chasing,
-// deep nesting, child-retry escalation, stats-table feedback, and the
-// TFA+Backoff stall path.
+// deep nesting, the abort cause of a stale remote lock, child-retry
+// escalation, stats-table feedback, and the TFA+Backoff stall path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -95,6 +95,32 @@ TEST(TfaEdge, DeepNestingFourLevels) {
     cluster.execute(1, 2, [&](tfa::Txn& tx) { v = tx.read<Box>(ObjectId{i}).value; });
     EXPECT_EQ(v, static_cast<int>(i));
   }
+  cluster.shutdown();
+}
+
+TEST(TfaEdge, RemoteStaleLockAbortsAsEarlyValidation) {
+  // Node 0 writes an object owned by node 1, and node 1 commits to it in
+  // place before node 0 locks it. The version node 0 read is stale at lock
+  // time: a failed validation, as for an object node 0 owns itself, not a
+  // lock conflict.
+  runtime::Cluster cluster(quick(2));
+  const ObjectId oid{8};
+  cluster.create_object(std::make_unique<Box>(oid, 1), 1);
+  bool bumped = false;
+  const auto res = cluster.execute(0, 1, [&](tfa::Txn& tx) {
+    tx.write<Box>(oid).value += 10;
+    if (bumped) return;
+    bumped = true;
+    EXPECT_TRUE(cluster.execute(1, 2, [&](tfa::Txn& other) {
+      other.write<Box>(oid).value += 1;
+    }).committed);
+  });
+  ASSERT_TRUE(res.committed);
+  EXPECT_EQ(res.attempts, 2u);
+  const auto aborts = cluster.node(0).metrics().snapshot().aborts_root;
+  EXPECT_EQ(aborts[static_cast<std::size_t>(tfa::AbortCause::kEarlyValidation)], 1u);
+  EXPECT_EQ(aborts[static_cast<std::size_t>(tfa::AbortCause::kLockConflict)], 0u);
+  EXPECT_EQ(object_cast<Box>(*cluster.committed_copy(oid)).value, 12);
   cluster.shutdown();
 }
 

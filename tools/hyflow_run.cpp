@@ -17,11 +17,8 @@
 // --fault-crash-node/-start-ms/-end-ms
 #include <cstdio>
 
-#include <thread>
-
 #include "bench/common.hpp"
 #include "runtime/experiment.hpp"
-#include "runtime/report.hpp"
 #include "util/config.hpp"
 #include "workloads/registry.hpp"
 
@@ -61,30 +58,12 @@ int main(int argc, char** argv) {
   wcfg.seed = cfg.cluster.seed;
 
   auto workload = workloads::make_workload(workload_name, wcfg);
-
-  // Run with an inline cluster (not run_experiment) so the report and
-  // latency histogram can be collected before teardown.
-  runtime::Cluster cluster(cfg.cluster);
-  workload->setup(cluster);
-  cluster.start_workers(*workload);
-  std::this_thread::sleep_for(to_chrono(cfg.warmup));
-  const auto before = cluster.total_metrics();
-  const auto msgs_before = cluster.network().stats().messages.load();
-  const SimTime t0 = sim_now();
-  std::this_thread::sleep_for(to_chrono(cfg.measure));
-  const auto after = cluster.total_metrics();
-  const auto msgs_after = cluster.network().stats().messages.load();
-  const SimTime t1 = sim_now();
-  cluster.stop_workers();
-
-  const auto delta = after - before;
-  const double secs = static_cast<double>(t1 - t0) * 1e-9;
-  const double throughput = static_cast<double>(delta.commits_root) / secs;
-  const bool verified = workload->verify(cluster);
+  const auto result = runtime::run_experiment(*workload, cfg);
+  const auto& delta = result.delta;
 
   std::printf("%s on %s: %u nodes, read-ratio %.2f\n", workload_name.c_str(),
-              scheduler.c_str(), cluster.size(), read_ratio);
-  std::printf("throughput          %10.1f txn/s\n", throughput);
+              scheduler.c_str(), cfg.cluster.nodes, read_ratio);
+  std::printf("throughput          %10.1f txn/s\n", result.throughput);
   std::printf("aborts/commit       %10.2f\n",
               delta.commits_root
                   ? static_cast<double>(delta.aborts_total()) /
@@ -96,24 +75,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(delta.enqueued),
               static_cast<unsigned long long>(delta.handoffs_received));
   std::printf("messages            %10llu (%.1f per commit)\n",
-              static_cast<unsigned long long>(msgs_after - msgs_before),
-              delta.commits_root ? static_cast<double>(msgs_after - msgs_before) /
+              static_cast<unsigned long long>(result.messages),
+              delta.commits_root ? static_cast<double>(result.messages) /
                                        static_cast<double>(delta.commits_root)
                                  : 0.0);
-  std::printf("invariants          %10s\n", verified ? "verified" : "VIOLATED");
+  std::printf("invariants          %10s\n", result.verified ? "verified" : "VIOLATED");
 
   if (cli.get_bool("latency", false)) {
-    const auto lat = cluster.merged_latency();
+    // The measurement window's commits, the histogram behind p50/p99 in
+    // the experiment summary.
+    const auto& lat = delta.latency;
     std::printf("latency ms          p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
                 static_cast<double>(lat.value_at_percentile(50)) / 1e6,
                 static_cast<double>(lat.value_at_percentile(90)) / 1e6,
                 static_cast<double>(lat.value_at_percentile(99)) / 1e6,
                 static_cast<double>(lat.max()) / 1e6);
   }
-  if (cli.get_bool("report", false)) {
-    std::printf("\n%s", runtime::collect_report(cluster).to_string().c_str());
-  }
-
-  cluster.shutdown();
-  return verified ? 0 : 1;
+  if (cli.get_bool("report", false)) std::printf("\n%s", result.report.to_string().c_str());
+  return result.verified ? 0 : 1;
 }
