@@ -10,10 +10,10 @@
 // waits for a reply, so a step never blocks on another node.
 //
 // The steps are the nine request handlers (handle), the grant sweep, the
-// requester path's local twins of those handlers (a local lock, validation,
-// release, commit or hand-off goes through the same private step the
-// matching handler runs) and the placement and audit calls of the cluster
-// and the reports. docs/CONCURRENCY.md states the rule.
+// requester path's local steps on objects this node owns (a local lock,
+// validation or release runs the same code as the handler of the matching
+// request) and the placement and audit calls of the cluster and the
+// reports. docs/CONCURRENCY.md states the rule.
 #pragma once
 
 #include <cstdint>
