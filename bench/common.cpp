@@ -84,7 +84,7 @@ std::vector<std::string> selected_schedulers(const HarnessOptions& opt) {
   std::vector<std::string> names;
   for (const auto& s : opt.schedulers) {
     const auto canonical = core::canonical_scheduler_name(s);
-    // Pass unknown names through: make_scheduler reports them fatally with
+    // Pass unknown names through: core::Scheduler reports them fatally with
     // the valid list, which beats silently dropping a misspelled policy.
     names.push_back(canonical.empty() ? s : canonical);
   }

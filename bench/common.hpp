@@ -75,8 +75,8 @@ void write_bench_json(const BenchResult& result, const HarnessOptions& opt);
 std::vector<std::string> selected_workloads(const HarnessOptions& opt);
 
 // The scheduler policies this run sweeps: opt.schedulers (canonicalized —
-// an unknown name dies in make_scheduler with the valid list) if given,
-// else every policy in core::scheduler_names().
+// an unknown name dies in the core::Scheduler constructor with the valid
+// list) if given, else every policy in core::scheduler_names().
 std::vector<std::string> selected_schedulers(const HarnessOptions& opt);
 
 // CL threshold at the per-benchmark throughput peak (found by the

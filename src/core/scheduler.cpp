@@ -238,10 +238,6 @@ std::uint32_t Scheduler::loss_streak(NodeId node, SimTime ets_start) const {
   return it == losses_.streaks.end() ? 0 : it->second;
 }
 
-std::unique_ptr<Scheduler> make_scheduler(const SchedulerConfig& cfg) {
-  return std::make_unique<Scheduler>(cfg);
-}
-
 std::vector<std::string> scheduler_names() {
   std::vector<std::string> names;
   names.reserve(std::size(kPolicies));

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -122,9 +121,6 @@ class Scheduler {
   std::unordered_map<ObjectId, RequesterList> lists_;
   LossBook losses_;
 };
-
-// Constructs the scheduler for `cfg.kind`; dies on an unknown kind.
-std::unique_ptr<Scheduler> make_scheduler(const SchedulerConfig& cfg);
 
 // Canonical names of every registered policy, in bench-sweep order.
 std::vector<std::string> scheduler_names();

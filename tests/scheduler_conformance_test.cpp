@@ -127,9 +127,9 @@ constexpr std::uint64_t kTraceSeeds[] = {11, 42, 1234};
 // extract_queue/absorb_queue exactly as a TFA commit hand-off would.
 void replay_trace(const SchedulerConfig& cfg, std::uint64_t seed, DecisionDigest& digest) {
   constexpr std::uint64_t kObjects = 4;
-  auto owner_a = make_scheduler(cfg);
-  auto owner_b = make_scheduler(cfg);
-  Scheduler* owners[2] = {owner_a.get(), owner_b.get()};
+  Scheduler owner_a(cfg);
+  Scheduler owner_b(cfg);
+  Scheduler* owners[2] = {&owner_a, &owner_b};
   std::array<int, kObjects> owner_of{};  // which instance owns each object
   Model model;
   Xoshiro256 rng(seed);
@@ -210,8 +210,8 @@ void replay_trace(const SchedulerConfig& cfg, std::uint64_t seed, DecisionDigest
       ASSERT_LT(++guard, 10000);
     }
   }
-  EXPECT_EQ(owner_a->total_queued(), 0u) << cfg.kind << " seed " << seed;
-  EXPECT_EQ(owner_b->total_queued(), 0u) << cfg.kind << " seed " << seed;
+  EXPECT_EQ(owner_a.total_queued(), 0u) << cfg.kind << " seed " << seed;
+  EXPECT_EQ(owner_b.total_queued(), 0u) << cfg.kind << " seed " << seed;
 }
 
 class SchedulerConformanceTest : public ::testing::TestWithParam<std::string> {};
@@ -288,7 +288,7 @@ TEST_P(SchedulerConformanceTest, ConcurrentHammerConservesRequesters) {
   constexpr int kItersPerThread = 1500;
   constexpr std::uint64_t kObjects = 8;
   const auto cfg = conformance_config(GetParam());
-  auto sched = make_scheduler(cfg);
+  Scheduler sched(cfg);
   std::atomic<std::uint64_t> enqueued{0};
   std::atomic<std::uint64_t> granted{0};
   std::atomic<std::uint64_t> removed{0};
@@ -311,14 +311,14 @@ TEST_P(SchedulerConformanceTest, ConcurrentHammerConservesRequesters) {
           const auto ctx = make_ctx(oid, txn, mode, sim_us(100 + rng.below(50000)),
                                     static_cast<std::uint32_t>(rng.below(6)));
           std::lock_guard lk(owner);
-          if (sched->on_conflict(ctx).action == ConflictAction::kEnqueue) {
+          if (sched.on_conflict(ctx).action == ConflictAction::kEnqueue) {
             enqueued.fetch_add(1, std::memory_order_relaxed);
             last_parked_txn = txn;
             last_parked_oid = oid;
           }
         } else if (op < 90) {
           std::lock_guard lk(owner);
-          granted.fetch_add(sched->on_object_available(ObjectId{oid}).size(),
+          granted.fetch_add(sched.on_object_available(ObjectId{oid}).size(),
                             std::memory_order_relaxed);
         } else if (last_parked_txn != 0) {
           // NotInterested for this thread's own most recent parked txn. It
@@ -326,7 +326,7 @@ TEST_P(SchedulerConformanceTest, ConcurrentHammerConservesRequesters) {
           // remove is a no-op and the count stays conservative, which is
           // why the final check is an inequality on removed.
           std::lock_guard lk(owner);
-          sched->remove_requester(ObjectId{last_parked_oid}, TxnId{last_parked_txn});
+          sched.remove_requester(ObjectId{last_parked_oid}, TxnId{last_parked_txn});
           removed.fetch_add(1, std::memory_order_relaxed);
           last_parked_txn = 0;
         }
@@ -337,14 +337,14 @@ TEST_P(SchedulerConformanceTest, ConcurrentHammerConservesRequesters) {
 
   for (std::uint64_t oid = 1; oid <= kObjects; ++oid) {
     int guard = 0;
-    while (sched->queue_depth(ObjectId{oid}) > 0) {
-      const auto group = sched->on_object_available(ObjectId{oid});
+    while (sched.queue_depth(ObjectId{oid}) > 0) {
+      const auto group = sched.on_object_available(ObjectId{oid});
       ASSERT_FALSE(group.empty()) << "non-empty queue refused to drain at oid " << oid;
       granted.fetch_add(group.size(), std::memory_order_relaxed);
       ASSERT_LT(++guard, 100000);
     }
   }
-  EXPECT_EQ(sched->total_queued(), 0u);
+  EXPECT_EQ(sched.total_queued(), 0u);
   // Every enqueue ends in exactly one grant or one successful remove; the
   // remove counter includes no-op removes, hence the bracket.
   EXPECT_LE(granted.load(), enqueued.load());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "core/contention.hpp"
@@ -302,21 +303,21 @@ TEST(BackoffScheduler, StallClamped) {
 TEST(SchedulerFactory, MakesAllKinds) {
   SchedulerConfig cfg;
   cfg.kind = "rts";
-  EXPECT_STREQ(make_scheduler(cfg)->name(), "rts");
+  EXPECT_STREQ(Scheduler(cfg).name(), "rts");
   cfg.kind = "tfa";
-  EXPECT_STREQ(make_scheduler(cfg)->name(), "tfa");
+  EXPECT_STREQ(Scheduler(cfg).name(), "tfa");
   cfg.kind = "backoff";
-  EXPECT_STREQ(make_scheduler(cfg)->name(), "tfa+backoff");
+  EXPECT_STREQ(Scheduler(cfg).name(), "tfa+backoff");
   cfg.kind = "tfa+backoff";
-  EXPECT_STREQ(make_scheduler(cfg)->name(), "tfa+backoff");
+  EXPECT_STREQ(Scheduler(cfg).name(), "tfa+backoff");
   cfg.kind = "bi";
-  EXPECT_STREQ(make_scheduler(cfg)->name(), "bi-interval");
+  EXPECT_STREQ(Scheduler(cfg).name(), "bi-interval");
   cfg.kind = "greedy";
-  EXPECT_STREQ(make_scheduler(cfg)->name(), "greedy");
+  EXPECT_STREQ(Scheduler(cfg).name(), "greedy");
   cfg.kind = "polka";
-  EXPECT_STREQ(make_scheduler(cfg)->name(), "karma");
+  EXPECT_STREQ(Scheduler(cfg).name(), "karma");
   cfg.kind = "steal";
-  EXPECT_STREQ(make_scheduler(cfg)->name(), "steal-on-abort");
+  EXPECT_STREQ(Scheduler(cfg).name(), "steal-on-abort");
 }
 
 TEST(SchedulerFactory, NamesCoverTheZoo) {
@@ -338,7 +339,7 @@ using SchedulerFactoryDeathTest = ::testing::Test;
 TEST(SchedulerFactoryDeathTest, UnknownKindDiesListingValidNames) {
   SchedulerConfig cfg;
   cfg.kind = "rst";  // plausible typo for "rts"
-  EXPECT_DEATH(make_scheduler(cfg),
+  EXPECT_DEATH(Scheduler{cfg},
                "unknown scheduler kind 'rst'.*rts.*tfa.*backoff.*bi-interval.*greedy.*"
                "karma.*steal-on-abort");
 }
@@ -484,20 +485,20 @@ TEST(BiIntervalScheduler, ServingReadersKeepsParkedWritersInTheBackoff) {
     SchedulerConfig cfg;
     cfg.kind = kind;
     cfg.cl_threshold = 1000;
-    auto s = make_scheduler(cfg);
+    Scheduler s(cfg);
     const auto request = [](std::uint64_t txn, net::AccessMode mode) {
       ConflictContext ctx = conflict_from(txn, 1000000, sim_ms(60), mode);
       ctx.validator_remaining = sim_us(200);
       return ctx;
     };
-    ASSERT_EQ(s->on_conflict(request(1, net::AccessMode::kRead)).action,
+    ASSERT_EQ(s.on_conflict(request(1, net::AccessMode::kRead)).action,
               ConflictAction::kEnqueue);
-    ASSERT_EQ(s->on_conflict(request(2, net::AccessMode::kWrite)).action,
+    ASSERT_EQ(s.on_conflict(request(2, net::AccessMode::kWrite)).action,
               ConflictAction::kEnqueue);
-    const auto served = s->on_object_available(ObjectId{1});
+    const auto served = s.on_object_available(ObjectId{1});
     ASSERT_EQ(served.size(), 1u) << kind;
     EXPECT_EQ(served[0].txid, TxnId{1}) << kind;
-    const auto d = s->on_conflict(request(3, net::AccessMode::kWrite));
+    const auto d = s.on_conflict(request(3, net::AccessMode::kWrite));
     ASSERT_EQ(d.action, ConflictAction::kEnqueue) << kind;
     EXPECT_EQ(d.backoff, sim_us(14200)) << kind;
   }
@@ -520,7 +521,7 @@ class SchedulerPolicyTest : public ::testing::TestWithParam<std::string> {
     cfg.handoff_slack = sim_ms(1);
     return cfg;
   }
-  std::unique_ptr<Scheduler> make() const { return make_scheduler(config()); }
+  std::unique_ptr<Scheduler> make() const { return std::make_unique<Scheduler>(config()); }
 };
 
 TEST_P(SchedulerPolicyTest, FactoryRoundTrip) {
