@@ -173,7 +173,7 @@ void BM_NetworkRoundTrip(benchmark::State& state) {
     m.msg_id = id;
     m.payload = net::FindOwnerRequest{ObjectId{1}};
     network.send(std::move(m));
-    benchmark::DoNotOptimize(pending.wait(call, id, std::nullopt));
+    benchmark::DoNotOptimize(pending.wait(call, id, sim_ms(1000)));
     pending.done(id);
   }
   network.stop();

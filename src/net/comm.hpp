@@ -6,9 +6,10 @@
 //
 // RequestCall is the RAII handle for an outstanding request: it keeps the
 // destination and payload the request was sent with (reliable_wait resends
-// them), wait() blocks for the next reply, wait_for() abandons on timeout
-// (late replies become orphans, triggering the NotInterested protocol), and
-// the destructor deregisters whatever is left.
+// them), wait_for() waits for the next reply and abandons the call on
+// timeout (late replies become orphans, triggering the NotInterested
+// protocol), and the destructor deregisters whatever is left. Every wait is
+// bounded.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +48,6 @@ class RequestCall {
   std::uint64_t id() const { return msg_id_; }
   NodeId to() const { return to_; }
   const Payload& payload() const { return payload_; }
-
-  std::optional<Message> wait() { return registry_->wait(call_, msg_id_, std::nullopt); }
 
   std::optional<Message> wait_for(SimDuration timeout) {
     return registry_->wait(call_, msg_id_, timeout);

@@ -40,34 +40,29 @@ bool PendingCalls::deliver(Message reply) {
 }
 
 std::optional<Message> PendingCalls::wait(const CallPtr& call, std::uint64_t msg_id,
-                                          std::optional<SimDuration> timeout,
-                                          bool abandon_on_timeout) {
+                                          SimDuration timeout, bool abandon_on_timeout) {
   MutexLock lk(call->mu);
-  if (timeout) {
-    const auto deadline = std::chrono::steady_clock::now() + to_chrono(*timeout);
-    bool timed_out = false;
-    while (call->replies.empty() && !call->closed && !timed_out) {
-      timed_out = call->cv.wait_until(lk, deadline) == std::cv_status::timeout;
+  const auto deadline = std::chrono::steady_clock::now() + to_chrono(timeout);
+  bool timed_out = false;
+  while (call->replies.empty() && !call->closed && !timed_out) {
+    timed_out = call->cv.wait_until(lk, deadline) == std::cv_status::timeout;
+  }
+  if (call->replies.empty() && !call->closed) {
+    if (!abandon_on_timeout) return std::nullopt;  // registration survives
+    // Timed out: abandon. A deliver() may be between "found the entry" and
+    // "queued the reply", so after deregistering re-check under call->mu;
+    // marking `abandoned` under the same lock closes the race where the
+    // reply lands after this re-check (it becomes an orphan at deliver()).
+    lk.unlock();
+    {
+      MutexLock map_lk(mu_);
+      calls_.erase(msg_id);
     }
-    if (call->replies.empty() && !call->closed) {
-      if (!abandon_on_timeout) return std::nullopt;  // registration survives
-      // Timed out: abandon. A deliver() may be between "found the entry" and
-      // "queued the reply", so after deregistering re-check under call->mu;
-      // marking `abandoned` under the same lock closes the race where the
-      // reply lands after this re-check (it becomes an orphan at deliver()).
-      lk.unlock();
-      {
-        MutexLock map_lk(mu_);
-        calls_.erase(msg_id);
-      }
-      lk.lock();
-      if (call->replies.empty()) {
-        call->abandoned = true;
-        return std::nullopt;  // truly abandoned
-      }
+    lk.lock();
+    if (call->replies.empty()) {
+      call->abandoned = true;
+      return std::nullopt;  // truly abandoned
     }
-  } else {
-    while (call->replies.empty() && !call->closed) call->cv.wait(lk);
   }
   if (call->replies.empty()) return std::nullopt;  // closed
   Message out = std::move(call->replies.front());

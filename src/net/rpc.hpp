@@ -52,14 +52,14 @@ class PendingCalls {
   // (abandoned or finished) — the caller owns the orphan protocol.
   bool deliver(Message reply);
 
-  // Blocks until a reply is queued, the timeout expires, or close_all().
+  // Blocks until a reply is queued, the timeout expires, or close_all();
+  // every wait is bounded, so a lost reply cannot hang its caller.
   // With `abandon_on_timeout` (the default), a timeout abandons the call:
   // it is deregistered and any future reply becomes an orphan; if a reply
   // slipped in during the abandon race it is returned instead. With it
   // false the registration survives the timeout — the retry layer re-sends
   // under the same id and waits again.
-  std::optional<Message> wait(const CallPtr& call, std::uint64_t msg_id,
-                              std::optional<SimDuration> timeout,
+  std::optional<Message> wait(const CallPtr& call, std::uint64_t msg_id, SimDuration timeout,
                               bool abandon_on_timeout = true);
 
   // Deregisters a call whose final reply has been consumed.

@@ -202,7 +202,7 @@ TEST(PendingCalls, SingleReply) {
   reply.reply_to = 10;
   reply.payload = FindOwnerResponse{ObjectId{1}, 2, true};
   EXPECT_TRUE(pending.deliver(reply));
-  const auto got = pending.wait(call, 10, std::nullopt);
+  const auto got = pending.wait(call, 10, sim_ms(500));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(std::get<FindOwnerResponse>(got->payload).owner, 2u);
   pending.done(10);
@@ -221,8 +221,8 @@ TEST(PendingCalls, TwoRepliesSameCall) {
   second.payload = ObjectResponse{};  // the pushed object
   EXPECT_TRUE(pending.deliver(first));
   EXPECT_TRUE(pending.deliver(second));
-  EXPECT_TRUE(pending.wait(call, 5, std::nullopt).has_value());
-  EXPECT_TRUE(pending.wait(call, 5, std::nullopt).has_value());
+  EXPECT_TRUE(pending.wait(call, 5, sim_ms(500)).has_value());
+  EXPECT_TRUE(pending.wait(call, 5, sim_ms(500)).has_value());
   pending.done(5);
 }
 
@@ -258,10 +258,17 @@ TEST(PendingCalls, CloseAllUnblocksWaiters) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     pending.close_all();
   });
-  EXPECT_FALSE(pending.wait(call, 11, std::nullopt).has_value());
+  // The bound is far beyond the close: the wait must end closed, not abandoned.
+  EXPECT_FALSE(pending.wait(call, 11, sim_ms(10000)).has_value());
+  const auto closed = [](const PendingCalls::CallPtr& c) {
+    MutexLock lk(c->mu);
+    return c->closed && !c->abandoned;
+  };
+  EXPECT_TRUE(closed(call));
   // After close, new calls fail fast.
   auto call2 = pending.open(12);
-  EXPECT_FALSE(pending.wait(call2, 12, std::nullopt).has_value());
+  EXPECT_FALSE(pending.wait(call2, 12, sim_ms(10000)).has_value());
+  EXPECT_TRUE(closed(call2));
 }
 
 TEST(PendingCalls, UnknownReplyIsOrphan) {

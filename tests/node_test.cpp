@@ -33,7 +33,7 @@ TEST_F(NodePair, RequestReplyRoundTrip) {
   // Use the directory protocol as a ready-made request/reply pair.
   cluster->node(1).directory().publish(ObjectId{50}, 2);
   auto call = cluster->node(0).request(1, net::FindOwnerRequest{ObjectId{50}});
-  const auto reply = call.wait();
+  const auto reply = call.wait_for(sim_ms(500));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->from, 1u);
   EXPECT_EQ(reply->to, 0u);
@@ -44,7 +44,7 @@ TEST_F(NodePair, RequestReplyRoundTrip) {
 
 TEST_F(NodePair, RequestToUnknownObjectSaysUnknown) {
   auto call = cluster->node(0).request(1, net::FindOwnerRequest{ObjectId{51}});
-  const auto reply = call.wait();
+  const auto reply = call.wait_for(sim_ms(500));
   ASSERT_TRUE(reply.has_value());
   EXPECT_FALSE(std::get<net::FindOwnerResponse>(reply->payload).known);
 }
@@ -64,7 +64,7 @@ TEST_F(NodePair, EnvelopeCarriesSenderClock) {
   ASSERT_LT(cluster->node(0).clock().read(), clock2);
   // Any request/response pair with node 2 synchronises node 0.
   auto call = cluster->node(0).request(2, net::FindOwnerRequest{ObjectId{52}});
-  ASSERT_TRUE(call.wait().has_value());
+  ASSERT_TRUE(call.wait_for(sim_ms(500)).has_value());
   EXPECT_GE(cluster->node(0).clock().read(), clock2);
 }
 
