@@ -1,6 +1,8 @@
 #include "net/network.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -8,13 +10,10 @@
 
 namespace hyflow::net {
 
-Network::Network(Topology topology, int delivery_threads, FaultPlan fault)
+Network::Network(Topology topology, FaultPlan fault)
     : topology_(std::move(topology)),
       handlers_(topology_.node_count()),
-      faults_(std::move(fault)),
-      delivery_thread_count_(delivery_threads) {
-  HYFLOW_ASSERT(delivery_threads >= 1);
-}
+      faults_(std::move(fault)) {}
 
 Network::~Network() { stop(); }
 
@@ -24,21 +23,23 @@ void Network::register_handler(NodeId node, Handler handler) {
   handlers_[node] = std::move(handler);
 }
 
+void Network::set_tick(SimDuration period, Tick fn) {
+  HYFLOW_ASSERT(period > 0);
+  HYFLOW_ASSERT_MSG(!running_.load(), "set_tick after start()");
+  tick_period_ = period;
+  tick_ = std::move(fn);
+}
+
 void Network::start() {
   HYFLOW_ASSERT_MSG(!running_.exchange(true), "Network started twice");
   for (const auto& h : handlers_) HYFLOW_ASSERT_MSG(static_cast<bool>(h), "unregistered node");
   faults_.arm(sim_now());  // partition/crash windows are offsets from here
-  lanes_.clear();
-  for (int i = 0; i < delivery_thread_count_; ++i)
-    lanes_.push_back(std::make_unique<BlockingQueue<Message>>());
-  threads_.emplace_back([this](std::stop_token st) { dispatcher_loop(st); });
-  for (int i = 0; i < delivery_thread_count_; ++i)
-    threads_.emplace_back([this, i](std::stop_token st) { delivery_loop(st, i); });
+  dispatcher_ = std::jthread([this](std::stop_token st) { dispatcher_loop(st); });
 }
 
 void Network::stop() {
   if (!running_.exchange(false)) return;
-  for (auto& t : threads_) t.request_stop();
+  dispatcher_.request_stop();
   // Notify under timer_mu_: the dispatcher's wake condition includes
   // st.stop_requested(), which is NOT written under the mutex, so a bare
   // notify could land between the dispatcher's check and its wait and be
@@ -48,18 +49,15 @@ void Network::stop() {
     MutexLock lk(timer_mu_);
   }
   timer_cv_.notify_all();
-  for (auto& lane : lanes_) lane->close();
-  threads_.clear();  // jthread joins on destruction
+  dispatcher_.join();
   // Account for every in-flight message the stop cut off: still waiting in
-  // the timer queue or sitting in a delivery lane behind a handler that
-  // never ran. Silent discards here used to mask protocol bugs.
+  // the timer queue. Silent discards here used to mask protocol bugs.
   std::uint64_t cut = 0;
   {
     MutexLock lk(timer_mu_);
-    cut += timer_queue_.size();
+    cut = timer_queue_.size();
     while (!timer_queue_.empty()) timer_queue_.pop();
   }
-  for (auto& lane : lanes_) cut += lane->size();
   if (cut > 0) {
     stats_.dropped_on_stop.fetch_add(cut, std::memory_order_relaxed);
     in_flight_.fetch_sub(cut, std::memory_order_relaxed);
@@ -107,45 +105,46 @@ void Network::schedule(Message m, SimTime deliver_at) {
 }
 
 void Network::dispatcher_loop(std::stop_token st) {
+  constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+  SimTime next_tick = tick_ ? sim_now() + tick_period_ : kNever;
   MutexLock lk(timer_mu_);
   while (!st.stop_requested()) {
-    if (timer_queue_.empty()) {
-      // Plain wait in a loop (no predicate lambda — the analysis cannot see
-      // guarded accesses inside one): spurious wakeups re-check queue and
-      // stop token at the top of the loop; stop() notifies under timer_mu_.
-      timer_cv_.wait(lk);
+    const SimTime now = sim_now();
+    if (now >= next_tick) {
+      lk.unlock();
+      tick_(now);
+      lk.lock();
+      next_tick = sim_now() + tick_period_;  // a whole period between ticks
       continue;
     }
-    const SimTime next_at = timer_queue_.top().deliver_at;
-    const SimTime now = sim_now();
-    if (next_at > now) {
-      timer_cv_.wait_for(lk, to_chrono(next_at - now));
-      continue;  // re-evaluate: an earlier message may have been pushed
+    const SimTime wake =
+        timer_queue_.empty() ? next_tick : std::min(next_tick, timer_queue_.top().deliver_at);
+    if (wake > now) {
+      // Plain waits in a loop (no predicate lambda — the analysis cannot see
+      // guarded accesses inside one): every wake-up, spurious or not,
+      // re-checks the stop token, the tick and the queue at the top of the
+      // loop, where an earlier message may have been pushed; stop()
+      // notifies under timer_mu_.
+      if (wake == kNever) {
+        timer_cv_.wait(lk);
+      } else {
+        timer_cv_.wait_for(lk, to_chrono(wake - now));
+      }
+      continue;
     }
     // const_cast: priority_queue::top() is const but we are about to pop.
     Message msg = std::move(const_cast<Timed&>(timer_queue_.top()).msg);
     timer_queue_.pop();
     lk.unlock();
-    auto& lane = *lanes_[msg.to % lanes_.size()];
-    if (!lane.push(std::move(msg))) {
-      in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    lk.lock();
-  }
-}
-
-void Network::delivery_loop(std::stop_token st, int lane) {
-  while (!st.stop_requested()) {
-    auto msg = lanes_[lane]->pop();
-    if (!msg) return;  // queue closed and drained
-    const NodeId to = msg->to;
     if (Log::enabled(LogLevel::kTrace)) {
-      HYFLOW_TRACE("deliver ", payload_name(msg->payload), " #", msg->msg_id, " ",
-                   msg->from, "->", to, (msg->reply_to ? " (reply)" : ""));
+      HYFLOW_TRACE("deliver ", payload_name(msg.payload), " #", msg.msg_id, " ", msg.from,
+                   "->", msg.to, (msg.reply_to ? " (reply)" : ""));
     }
-    handlers_[to](std::move(*msg));
+    const NodeId to = msg.to;
+    handlers_[to](std::move(msg));
     // Release: wait_idle's acquire load then sees everything the handler did.
     in_flight_.fetch_sub(1, std::memory_order_release);
+    lk.lock();
   }
 }
 

@@ -1,9 +1,11 @@
 // In-process message-passing network with latency simulation.
 //
 // send() stamps the message with a cluster-unique id and schedules delivery
-// `topology.delay(from,to)` in the future. A dispatcher thread pops due
-// messages from a timer queue and hands them to a small delivery pool, which
-// invokes the destination node's handler. Handlers are required to be
+// `topology.delay(from,to)` in the future. One dispatcher thread is the
+// cluster's event loop: it pops each due message from a timer queue and
+// invokes the destination node's handler itself, so every handler of every
+// node runs on it, one at a time and in due order. The same timed wait also
+// runs an optional periodic tick (set_tick). Handlers are required to be
 // non-blocking (they may send further messages); anything that must wait —
 // a transaction blocked on an object fetch — waits on the *requester* side
 // through net::PendingCalls, never inside a handler.
@@ -14,14 +16,12 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "net/fault_injector.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
-#include "util/blocking_queue.hpp"
 #include "util/mutex.hpp"
 
 namespace hyflow::net {
@@ -30,7 +30,7 @@ struct TransportStats {
   std::atomic<std::uint64_t> messages{0};
   std::atomic<std::uint64_t> bytes{0};
   std::atomic<std::uint64_t> object_payloads{0};
-  // Messages still queued or in a delivery lane when stop() cut them off.
+  // Messages still in the timer queue when stop() cut them off.
   std::atomic<std::uint64_t> dropped_on_stop{0};
 
   void record(const Message& m) {
@@ -46,10 +46,12 @@ struct TransportStats {
 class Network {
  public:
   using Handler = std::function<void(Message)>;
+  using Tick = std::function<void(SimTime now)>;
 
-  // `delivery_threads` sizes the pool that runs node handlers. `fault`
-  // configures the (default-off) fault-injection layer.
-  explicit Network(Topology topology, int delivery_threads = 2, FaultPlan fault = {});
+  // `fault` configures the (default-off) fault-injection layer.
+  explicit Network(Topology topology, FaultPlan fault = {});
+  // rtsbench's network echo still passes a delivery-thread count; it is ignored.
+  Network(Topology topology, int /*delivery_threads*/) : Network(std::move(topology)) {}
   ~Network();
 
   Network(const Network&) = delete;
@@ -57,6 +59,10 @@ class Network {
 
   // Must be called for every node before start().
   void register_handler(NodeId node, Handler handler);
+
+  // Optional; before start(). The dispatcher calls `fn(now)` about every
+  // `period`, between deliveries, and never after stop() returns.
+  void set_tick(SimDuration period, Tick fn);
 
   void start();
   // Idempotent; drains nothing — in-flight messages are dropped, but they
@@ -84,7 +90,7 @@ class Network {
  private:
   struct Timed {
     SimTime deliver_at;
-    std::uint64_t seq;  // tie-break keeps per-pair FIFO for equal deadlines
+    std::uint64_t seq;  // tie-break keeps send order for equal deadlines
     Message msg;
     bool operator>(const Timed& other) const {
       return deliver_at != other.deliver_at ? deliver_at > other.deliver_at
@@ -93,12 +99,13 @@ class Network {
   };
 
   void dispatcher_loop(std::stop_token st);
-  void delivery_loop(std::stop_token st, int lane);
 
   void schedule(Message m, SimTime deliver_at);
 
   Topology topology_;
   std::vector<Handler> handlers_;
+  SimDuration tick_period_ = 0;
+  Tick tick_;
   TransportStats stats_;
   FaultInjector faults_;
 
@@ -107,17 +114,12 @@ class Network {
   std::priority_queue<Timed, std::vector<Timed>, std::greater<>> timer_queue_
       GUARDED_BY(timer_mu_);
 
-  // One lane per delivery thread; a node's messages always ride the same
-  // lane (to % lanes), so handler invocation per node is serialised and
-  // per-pair FIFO survives the pool.
-  std::vector<std::unique_ptr<BlockingQueue<Message>>> lanes_;
   std::atomic<std::uint64_t> next_msg_id_{1};
   std::atomic<std::uint64_t> next_seq_{1};
   std::atomic<std::uint64_t> in_flight_{0};
   std::atomic<bool> running_{false};
 
-  int delivery_thread_count_;
-  std::vector<std::jthread> threads_;  // dispatcher + delivery pool
+  std::jthread dispatcher_;
 };
 
 }  // namespace hyflow::net

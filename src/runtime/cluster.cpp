@@ -7,16 +7,11 @@
 
 namespace hyflow::runtime {
 
-namespace {
-// Two delivery lanes: a node's handlers run on lane `node % 2`.
-constexpr int kDeliveryThreads = 2;
-}  // namespace
-
 Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   HYFLOW_ASSERT(cfg.nodes >= 1);
   net::TopologyConfig topo = cfg.topology;
   topo.nodes = cfg.nodes;
-  network_ = std::make_unique<net::Network>(net::Topology(topo), kDeliveryThreads, cfg.fault);
+  network_ = std::make_unique<net::Network>(net::Topology(topo), cfg.fault);
 
   NodeConfig node_cfg;
   node_cfg.scheduler = cfg.scheduler;
@@ -29,14 +24,12 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       node->handle_message(std::move(msg));
     });
   }
-  network_->start();
-  maintenance_ = std::jthread([this](std::stop_token st) {
-    while (!st.stop_requested()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      const SimTime now = sim_now();
-      for (auto& n : nodes_) n->owner().sweep(now);
-    }
+  // Expire unacknowledged Alg. 4 grants on every node, so a dropped
+  // hand-off re-serves the queue instead of stranding it.
+  network_->set_tick(sim_ms(1), [this](SimTime now) {
+    for (auto& n : nodes_) n->owner().sweep(now);
   });
+  network_->start();
 }
 
 Cluster::~Cluster() { shutdown(); }
@@ -105,10 +98,6 @@ void Cluster::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
   stop_workers();
-  if (maintenance_.joinable()) {
-    maintenance_.request_stop();
-    maintenance_.join();
-  }
   for (auto& n : nodes_) n->close_pending();
   network_->stop();
 }

@@ -1,7 +1,9 @@
 // The simulated cluster: N nodes over a latency-modelled network.
 //
-// Construction wires every node's handler into the network and starts the
-// dispatcher; `create_object` places initial objects (store slot at the
+// Construction wires every node's handler and the 1 ms grant sweep into the
+// network and starts its dispatcher, which runs every handler and every
+// sweep; the only other threads a cluster starts are the workers of
+// `start_workers`. `create_object` places initial objects (store slot at the
 // owner, directory entry at the home node); `start_workers`/`stop_workers`
 // drive a workload; `execute` runs a single transaction synchronously for
 // examples and tests.
@@ -75,9 +77,6 @@ class Cluster {
   // Client threads: each runs its node's transactions back-to-back (zero
   // think time) until asked to stop.
   std::vector<std::jthread> workers_;
-  // Periodically expires unacknowledged Alg. 4 grants on every node so a
-  // dropped hand-off re-serves the queue instead of stranding it.
-  std::jthread maintenance_;
   bool shut_down_ = false;
 };
 

@@ -1,7 +1,7 @@
 // A logical cluster node: TM proxy, owner side, stats table, logical clock
 // and the TFA requester engine, glued to the network through the Comm facade.
 //
-// Message flow: Network delivery threads call handle_message(); replies are
+// Message flow: the Network's dispatcher calls handle_message(); replies are
 // routed to the node's pending calls (orphans trigger the NotInterested
 // protocol), requests go to the OwnerCore's handlers. Worker threads run
 // transactions through `runtime().run(...)`.

@@ -37,7 +37,6 @@ enum class LockRank : int {
   kCallRegistry = 75,  // net::PendingCalls::mu_
   kCallState = 80,     // net::PendingCalls::CallState::mu
   kNetTimer = 85,      // net::Network::timer_mu_
-  kInbox = 90,         // BlockingQueue (the network's delivery lanes)
   kMetrics = 95,       // runtime::NodeMetrics::latency_mu_ — leaf
   kLog = 100,          // log sink — leaf, may be taken under anything
 };

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/blocking_queue.hpp"
 #include "util/lock_rank.hpp"
 #include "util/mutex.hpp"
 
@@ -27,14 +26,15 @@ TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
 
 TEST(LockRankDeathTest, EqualRankNestingAborts) {
   // Two instances of the same class must never nest (A->B in one thread,
-  // B->A in another deadlocks while each order alone looks fine).
+  // B->A in another deadlocks while each order alone looks fine) — here two
+  // nodes' owner locks.
   auto nest_same_rank = [] {
-    Mutex a(LockRank::kInbox, "inbox-a");
-    Mutex b(LockRank::kInbox, "inbox-b");
+    Mutex a(LockRank::kOwner, "owner-a");
+    Mutex b(LockRank::kOwner, "owner-b");
     MutexLock hold_a(a);
     MutexLock hold_b(b);
   };
-  EXPECT_DEATH(nest_same_rank(), "lock-rank violation.*inbox-b.*inbox-a");
+  EXPECT_DEATH(nest_same_rank(), "lock-rank violation.*owner-b.*owner-a");
 }
 
 TEST(LockRank, InOrderChainPasses) {
@@ -96,15 +96,6 @@ TEST(LockRank, UnrankedLocksOptOut) {
     MutexLock hold_unranked(unranked);
     EXPECT_EQ(lock_rank::held_count(), 1);  // unranked never recorded
   }
-}
-
-TEST(LockRank, BlockingQueueRanksAsInbox) {
-  // The production BlockingQueue participates: popping while holding the
-  // (higher-ranked) log lock would abort, normal use is silent.
-  BlockingQueue<int> q;
-  q.push(7);
-  EXPECT_EQ(q.try_pop(), std::optional<int>(7));
-  EXPECT_EQ(lock_rank::held_count(), 0);
 }
 
 #else  // !HYFLOW_LOCK_RANK_CHECKS

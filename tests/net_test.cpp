@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -83,7 +84,7 @@ TEST(Topology, FullDelayRangeUsed) {
 // -------------------------------------------------------------- Network ----
 
 struct TestNet {
-  explicit TestNet(std::uint32_t nodes) : network(Topology(fast_topology(nodes)), 2) {
+  explicit TestNet(std::uint32_t nodes) : network(Topology(fast_topology(nodes))) {
     inboxes.resize(nodes);
     for (NodeId id = 0; id < nodes; ++id) {
       network.register_handler(id, [this, id](Message m) {
@@ -93,7 +94,7 @@ struct TestNet {
     }
     network.start();
   }
-  // Stop (and join) the delivery threads before the members they touch —
+  // Stop (and join) the dispatcher before the members its handlers touch —
   // `mu`/`inboxes` — are destroyed; members destruct in reverse order, so
   // without this the handlers race the fixture teardown.
   ~TestNet() { network.stop(); }
@@ -191,6 +192,62 @@ TEST(Network, StopWakesIdleDispatcher) {
     }
     net.network.stop();
   }
+}
+
+// With every link equal and no jitter, delivery order is send order across
+// destinations too: the one dispatcher runs each handler as its message
+// falls due. Per-node delivery lanes could reorder nodes on different lanes.
+TEST(Network, HandlersRunInDueOrderAcrossNodes) {
+  TopologyConfig cfg;
+  cfg.nodes = 4;
+  cfg.min_delay = sim_us(200);
+  cfg.max_delay = sim_us(200);
+  Network net{Topology(cfg)};
+  std::mutex mu;
+  std::vector<std::uint64_t> handled;
+  for (NodeId id = 0; id < 4; ++id) {
+    net.register_handler(id, [&](Message m) {
+      std::scoped_lock lk(mu);
+      handled.push_back(m.msg_id);
+    });
+  }
+  net.start();
+  std::vector<std::uint64_t> sent;
+  for (int i = 0; i < 60; ++i) sent.push_back(net.send(make_msg(0, 1 + i % 3)));
+  net.wait_idle();
+  net.stop();
+  EXPECT_EQ(handled, sent);
+}
+
+// The tick runs on the thread that runs the handlers, and stop() ends it:
+// once stop() returns, the tick never runs again.
+TEST(Network, TickRunsOnTheDispatcherUntilStop) {
+  Network net{Topology(fast_topology(2))};
+  std::atomic<std::thread::id> handler_thread{};
+  std::atomic<int> ticks{0};
+  std::atomic<int> ticks_off_dispatcher{0};
+  net.register_handler(0, [](Message) {});
+  net.register_handler(1, [&](Message) { handler_thread = std::this_thread::get_id(); });
+  net.set_tick(sim_ms(1), [&](SimTime) {
+    const auto h = handler_thread.load();
+    if (h != std::thread::id{} && h != std::this_thread::get_id()) ++ticks_off_dispatcher;
+    ++ticks;
+  });
+  net.start();
+  net.send(make_msg(0, 1));
+  net.wait_idle();
+  ASSERT_NE(handler_thread.load(), std::thread::id{});
+  ASSERT_NE(handler_thread.load(), std::this_thread::get_id());
+  const int seen = ticks.load();
+  // Generous deadline: three more ticks at 1 ms each, on a loaded host.
+  for (int i = 0; i < 10000 && ticks.load() < seen + 3; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GE(ticks.load(), seen + 3);
+  EXPECT_EQ(ticks_off_dispatcher.load(), 0);
+  net.stop();
+  const int at_stop = ticks.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ticks.load(), at_stop);
 }
 
 // ----------------------------------------------------------------- RPC -----

@@ -238,6 +238,58 @@ TEST_F(NodePair, WaitForTimesOutCleanly) {
   c.shutdown();
 }
 
+TEST_F(NodePair, UnackedGrantIsReservedByTheSweep) {
+  // The dispatcher runs every node's grant sweep each millisecond. A grant
+  // whose requester never sends GrantAck (here a bare request, not a
+  // transaction) is presumed lost after grant_ack_timeout: the owner forgets
+  // that requester and hands the object to the next one parked behind it.
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.workers_per_node = 0;
+  cfg.scheduler.kind = "steal-on-abort";  // parks every conflicting requester
+  cfg.tfa.grant_ack_timeout = sim_ms(2);
+  cfg.topology.min_delay = sim_us(5);
+  cfg.topology.max_delay = sim_us(60);
+  Cluster c(cfg);
+  const ObjectId oid{62};
+  c.create_object(std::make_unique<Box>(oid, 1), 0);
+  const TxnId committer = TxnId::make(0, 1);
+  const Version version = c.node(0).store().get(oid)->version;
+  ASSERT_EQ(c.node(0).store().lock(oid, committer, version.clock),
+            dsm::ObjectStore::LockResult::kGranted);
+
+  // Node 1's request parks first, node 2's behind it.
+  const auto park = [&](NodeId from) {
+    net::ObjectRequest req;
+    req.oid = oid;
+    req.txid = TxnId::make(from, 1);
+    req.mode = net::AccessMode::kWrite;
+    auto call = c.node(from).request(0, req);
+    const auto reply = call.wait_for(sim_ms(500));
+    EXPECT_TRUE(reply && std::get<net::ObjectResponse>(reply->payload).enqueued);
+    return call;
+  };
+  auto first = park(1);
+  auto second = park(2);
+  ASSERT_EQ(c.node(0).scheduler().queue_depth(oid), 2u);
+
+  // The release grants the object to node 1, which never acks it.
+  auto release = c.node(1).request(0, net::AbortUnlock{oid, committer});
+  ASSERT_TRUE(release.wait_for(sim_ms(500)).has_value());
+  const auto granted = first.wait_for(sim_ms(500));
+  ASSERT_TRUE(granted.has_value());
+  EXPECT_TRUE(std::get<net::ObjectResponse>(granted->payload).handoff);
+
+  const auto reserved = second.wait_for(sim_ms(5000));
+  ASSERT_TRUE(reserved.has_value());
+  const auto& resp = std::get<net::ObjectResponse>(reserved->payload);
+  EXPECT_EQ(resp.txid, TxnId::make(2, 1));
+  ASSERT_NE(resp.object, nullptr);
+  EXPECT_EQ(object_cast<Box>(*resp.object).value, 1);
+  EXPECT_GE(c.node(0).metrics().snapshot().grant_reforwards, 1u);
+  c.shutdown();
+}
+
 TEST_F(NodePair, RequestWaitsForTheOwnersStep) {
   // Each owner-side step holds the node's owner lock from its first read to
   // its last state change, so a request that arrives during a step is handled

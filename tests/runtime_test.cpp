@@ -3,6 +3,7 @@
 // harness, and shutdown robustness (repeated cycles, shutdown under load).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 
 #include "dsm/directory.hpp"
@@ -146,6 +147,24 @@ TEST(Cluster, ExecuteFromEveryNode) {
     }).committed);
   }
   EXPECT_EQ(object_cast<Box>(*cluster.committed_copy(oid)).value, 4);
+  cluster.shutdown();
+}
+
+// A cluster without workers starts exactly one thread of its own: the
+// network's dispatcher, which runs every handler and the grant sweep.
+TEST(Cluster, StartsOneThreadOfItsOwn) {
+  const auto threads = [] {
+    std::error_code ec;
+    std::ptrdiff_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec), end; !ec && it != end;
+         it.increment(ec))
+      ++n;
+    return ec ? -1 : n;
+  };
+  const auto before = threads();
+  if (before <= 0) GTEST_SKIP() << "no /proc/self/task to count threads in";
+  Cluster cluster(tiny_cluster(4));
+  EXPECT_EQ(threads() - before, 1);
   cluster.shutdown();
 }
 

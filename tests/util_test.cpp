@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: EWMA, histogram, RNG, config parsing
-// and blocking queue.
+// and the stopwatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/blocking_queue.hpp"
 #include "util/config.hpp"
 #include "util/histogram.hpp"
 #include "util/json_writer.hpp"
@@ -287,61 +286,7 @@ TEST(Config, IntListParsing) {
   ASSERT_EQ(fallback.size(), 2u);
 }
 
-// -------------------------------------------------------- BlockingQueue ----
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> q;
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop().value(), i);
-}
-
-TEST(BlockingQueue, CloseUnblocksAndDrains) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.close();
-  EXPECT_FALSE(q.push(2));               // rejected after close
-  EXPECT_EQ(q.pop().value(), 1);         // drains remaining
-  EXPECT_FALSE(q.pop().has_value());     // then signals end
-}
-
-TEST(BlockingQueue, PopBlocksUntilPush) {
-  BlockingQueue<int> q;
-  std::jthread producer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.push(42);
-  });
-  EXPECT_EQ(q.pop().value(), 42);
-}
-
-TEST(BlockingQueue, ConcurrentProducersConsumers) {
-  BlockingQueue<int> q;
-  constexpr int kPerProducer = 2000;
-  constexpr int kProducers = 4;
-  std::atomic<long long> sum{0};
-  std::atomic<long long> count{0};
-  std::vector<std::jthread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (auto v = q.pop()) {
-        sum.fetch_add(*v);
-        count.fetch_add(1);
-      }
-    });
-  }
-  {
-    std::vector<std::jthread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&q, p] {
-        for (int i = 0; i < kPerProducer; ++i) q.push(p * kPerProducer + i);
-      });
-    }
-  }  // producers joined
-  q.close();
-  consumers.clear();  // consumers drain and exit
-  const long long n = kProducers * kPerProducer;
-  EXPECT_EQ(count.load(), n);
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
+// ----------------------------------------------------------------- Time ----
 
 TEST(Time, StopwatchMonotone) {
   Stopwatch sw;
