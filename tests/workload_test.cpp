@@ -287,6 +287,71 @@ TEST(RbTree, VerifyCatchesRedRedViolation) {
   cluster.shutdown();
 }
 
+// --------------------------------------------------------- integer sets ----
+
+// Runs 100 ops of a set workload one at a time, op i on node i % 3, and
+// folds each op's profile, read flag, outcome, attempts and message count
+// into one FNV-1a digest. The network is idle before and after every op,
+// and the one-second RPC timeout keeps a host stall from causing a resend,
+// so the digest depends only on the op stream and the object accesses.
+std::uint64_t sequential_digest(const std::string& workload, std::uint64_t seed) {
+  WorkloadConfig wcfg;
+  wcfg.read_ratio = 0.5;
+  wcfg.objects_per_node = 8;
+  wcfg.max_nested = 3;
+  wcfg.local_work = 0;
+  auto wl = make_workload(workload, wcfg);
+
+  runtime::ClusterConfig ccfg = quiet_cluster(3);
+  ccfg.rpc.base_timeout = sim_ms(1000);
+  ccfg.rpc.max_timeout = sim_ms(1000);
+  runtime::Cluster cluster(ccfg);
+  wl->setup(cluster);
+
+  std::uint64_t digest = 14695981039346656037ull;
+  const auto fold = [&](std::uint64_t v) { digest = (digest ^ v) * 1099511628211ull; };
+  const auto& messages = cluster.network().stats().messages;
+  Xoshiro256 rng(seed);
+  for (int i = 0; i < 100; ++i) {
+    const auto node = static_cast<NodeId>(i % 3);
+    cluster.network().wait_idle();
+    const auto op = wl->next_op(node, rng);
+    const std::uint64_t before = messages.load();
+    const auto result = cluster.execute(node, op.profile, op.body);
+    cluster.network().wait_idle();
+    fold(op.profile);
+    fold(op.is_read ? 1 : 0);
+    fold(result.committed ? 1 : 0);
+    fold(result.attempts);
+    fold(messages.load() - before);
+  }
+  EXPECT_TRUE(wl->verify(cluster)) << workload << " seed " << seed;
+  cluster.shutdown();
+  return digest;
+}
+
+// Pins the op stream of the three set workloads: a change to the RNG draw
+// order, to any object access or to any message moves a digest.
+TEST(IntSetWorkloads, SequentialRunIsPinned) {
+  struct Pin {
+    const char* workload;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"linked-list", 1, 0x344895d79ac93e55ull},
+      {"linked-list", 2, 0xadf3980fb5eda7a9ull},
+      {"bst", 1, 0x87e42895d544ae59ull},
+      {"bst", 2, 0xdb2a5f0cb31ddc37ull},
+      {"rb-tree", 1, 0xb49c8bae6b5d23a1ull},
+      {"rb-tree", 2, 0x9308712d528cadb7ull},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(sequential_digest(pin.workload, pin.seed), pin.digest)
+        << pin.workload << " seed " << pin.seed;
+  }
+}
+
 // ------------------------------------------------------------- vacation ----
 
 TEST(Vacation, SetupPopulatesAllThreeKinds) {
