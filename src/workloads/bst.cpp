@@ -1,6 +1,6 @@
 #include "workloads/bst.hpp"
 
-#include <functional>
+#include <algorithm>
 
 #include "runtime/cluster.hpp"
 #include "util/log.hpp"
@@ -8,163 +8,129 @@
 namespace hyflow::workloads {
 
 namespace {
-// Builds a balanced initial tree over the even keys in [lo, hi).
-ObjectId build_balanced(std::vector<std::unique_ptr<BstNode>>& nodes,
-                        const std::vector<ObjectId>& slots, std::size_t lo, std::size_t hi) {
+// Links a balanced subtree over the even keys in [2*lo, 2*hi) below
+// `parent`, records the depth of every key it links, and returns its root.
+ObjectId build_balanced(std::vector<std::unique_ptr<TreeNode>>& nodes, std::size_t lo,
+                        std::size_t hi, ObjectId parent, int depth, std::vector<int>& depths) {
   if (lo >= hi) return kInvalidObject;
   const std::size_t mid = lo + (hi - lo) / 2;
   const std::size_t key = mid * 2;  // even keys only
-  if (key >= slots.size()) return kInvalidObject;
-  BstNode* node = nodes[key].get();
-  node->set_left(build_balanced(nodes, slots, lo, mid));
-  node->set_right(build_balanced(nodes, slots, mid + 1, hi));
-  return slots[key];
+  if (key >= nodes.size()) return kInvalidObject;
+  TreeNode& node = *nodes[key];
+  depths[key] = depth;
+  node.set_parent(parent);
+  node.set_child(kLeft, build_balanced(nodes, lo, mid, node.id(), depth + 1, depths));
+  node.set_child(kRight, build_balanced(nodes, mid + 1, hi, node.id(), depth + 1, depths));
+  return node.id();
 }
 }  // namespace
 
 void BstWorkload::setup(runtime::Cluster& cluster) {
-  const std::size_t total =
-      static_cast<std::size_t>(cluster.size()) * static_cast<std::size_t>(cfg_.objects_per_node);
-  const std::size_t universe = std::min(kUniverseCap, std::max<std::size_t>(total, 8));
+  make_slots(cluster);
+  std::vector<std::unique_ptr<TreeNode>> nodes;
+  for (std::size_t i = 0; i < universe(); ++i)
+    nodes.push_back(std::make_unique<TreeNode>(slot(i), static_cast<std::int64_t>(i)));
 
-  slots_.clear();
-  slots_.reserve(universe);
-  std::vector<std::unique_ptr<BstNode>> nodes;
-  for (std::size_t i = 0; i < universe; ++i) {
-    const ObjectId oid = make_oid(IdSpace::kBstNode, i);
-    slots_.push_back(oid);
-    nodes.push_back(std::make_unique<BstNode>(oid, static_cast<std::int64_t>(i)));
-  }
-
-  root_obj_ = make_oid(IdSpace::kBstRoot, 0);
-  auto root = std::make_unique<BstRoot>(root_obj_);
-  root->set_root(build_balanced(nodes, slots_, 0, (universe + 1) / 2));
+  // Balanced over the even keys, black except the deepest level, which is
+  // red. The colours matter to the red-black tree only: a height-balanced
+  // tree has leaves on two adjacent levels, so an all-black colouring would
+  // violate the equal-black-height rule; colouring exactly the deepest level
+  // red restores it.
+  std::vector<int> depths(universe(), -1);
+  auto root = std::make_unique<TreeRoot>(root_obj_);
+  root->set_root(build_balanced(nodes, 0, (universe() + 1) / 2, kInvalidObject, 0, depths));
+  const int deepest = *std::max_element(depths.begin(), depths.end());
+  for (std::size_t i = 0; i < universe(); ++i) nodes[i]->set_red(depths[i] == deepest);
 
   cluster.create_object(std::move(root), 0);
-  for (std::size_t i = 0; i < universe; ++i)
+  for (std::size_t i = 0; i < universe(); ++i)
     cluster.create_object(std::move(nodes[i]), static_cast<NodeId>(i % cluster.size()));
 }
 
 bool BstWorkload::contains(tfa::Txn& tx, std::int64_t key) const {
-  ObjectId cur = tx.read<BstRoot>(root_obj_).root();
+  ObjectId cur = tx.read<TreeRoot>(root_obj_).root();
   while (cur.valid()) {
-    const BstNode& node = tx.read<BstNode>(cur);
+    const TreeNode& node = tx.read<TreeNode>(cur);
     if (node.key() == key) return !node.deleted();
-    cur = key < node.key() ? node.left() : node.right();
+    cur = node.child(key < node.key() ? kLeft : kRight);
   }
   return false;
 }
 
 void BstWorkload::insert(tfa::Txn& tx, std::int64_t key) const {
-  const ObjectId slot = slots_[static_cast<std::size_t>(key)];
-  ObjectId cur = tx.read<BstRoot>(root_obj_).root();
-  if (!cur.valid()) {
-    tx.write<BstNode>(slot).reset_links();
-    tx.write<BstRoot>(root_obj_).set_root(slot);
-    return;
-  }
-  while (true) {
-    const BstNode& node = tx.read<BstNode>(cur);
+  ObjectId parent = kInvalidObject;
+  int dir = kLeft;
+  ObjectId cur = tx.read<TreeRoot>(root_obj_).root();
+  while (cur.valid()) {
+    const TreeNode& node = tx.read<TreeNode>(cur);
     if (node.key() == key) {
-      if (node.deleted()) tx.write<BstNode>(cur).set_deleted(false);
+      if (node.deleted()) tx.write<TreeNode>(cur).set_deleted(false);
       return;
     }
-    const ObjectId next = key < node.key() ? node.left() : node.right();
-    if (!next.valid()) {
-      tx.write<BstNode>(slot).reset_links();
-      BstNode& parent = tx.write<BstNode>(cur);
-      if (key < node.key()) {
-        parent.set_left(slot);
-      } else {
-        parent.set_right(slot);
-      }
-      return;
-    }
-    cur = next;
+    parent = cur;
+    dir = key < node.key() ? kLeft : kRight;
+    cur = node.child(dir);
   }
+
+  const ObjectId leaf = slot(key);
+  tx.write<TreeNode>(leaf).reset_links(parent);
+  if (parent.valid()) {
+    tx.write<TreeNode>(parent).set_child(dir, leaf);
+  } else {
+    tx.write<TreeRoot>(root_obj_).set_root(leaf);
+  }
+  rebalance(tx, leaf);
 }
 
 void BstWorkload::remove(tfa::Txn& tx, std::int64_t key) const {
-  ObjectId cur = tx.read<BstRoot>(root_obj_).root();
+  ObjectId cur = tx.read<TreeRoot>(root_obj_).root();
   while (cur.valid()) {
-    const BstNode& node = tx.read<BstNode>(cur);
+    const TreeNode& node = tx.read<TreeNode>(cur);
     if (node.key() == key) {
-      if (!node.deleted()) tx.write<BstNode>(cur).set_deleted(true);
+      if (!node.deleted()) tx.write<TreeNode>(cur).set_deleted(true);
       return;
     }
-    cur = key < node.key() ? node.left() : node.right();
+    cur = node.child(key < node.key() ? kLeft : kRight);
   }
 }
 
-Workload::Op BstWorkload::next_op(NodeId node, Xoshiro256& rng) {
-  (void)node;
-  const int ops_n = 1 + static_cast<int>(rng.below(std::max(1, cfg_.max_nested)));
-  std::vector<std::int64_t> keys;
-  for (int i = 0; i < ops_n; ++i)
-    keys.push_back(static_cast<std::int64_t>(rng.below(slots_.size())));
-
-  Op op;
-  if (rng.chance(cfg_.read_ratio)) {
-    op.profile = kProfileContains;
-    op.is_read = true;
-    op.body = [this, keys](tfa::Txn& tx) {
-      int found = 0;
-      for (const std::int64_t key : keys)
-        tx.nested([&](tfa::Txn& child) {
-          found += contains(child, key) ? 1 : 0;
-          do_local_work();
-        });
-      if (found < 0) tx.retry();
-    };
-    return op;
-  }
-
-  std::vector<bool> is_insert;
-  for (int i = 0; i < ops_n; ++i) is_insert.push_back(rng.chance(0.5));
-  op.profile = kProfileUpdate;
-  op.body = [this, keys, is_insert](tfa::Txn& tx) {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      tx.nested([&](tfa::Txn& child) {
-        if (is_insert[i]) {
-          insert(child, keys[i]);
-        } else {
-          remove(child, keys[i]);
-        }
-        do_local_work();
-      });
-    }
-  };
-  return op;
-}
-
-bool BstWorkload::verify_subtree(runtime::Cluster& cluster, ObjectId node, std::int64_t lo,
-                                 std::int64_t hi, std::size_t& visited) const {
+bool BstWorkload::verify_subtree(runtime::Cluster& cluster, ObjectId node, ObjectId parent,
+                                 std::int64_t lo, std::int64_t hi,
+                                 std::size_t& visited) const {
   if (!node.valid()) return true;
-  if (++visited > slots_.size()) {
-    HYFLOW_ERROR("bst: cycle or duplicate linkage detected");
+  if (++visited > universe()) {
+    HYFLOW_ERROR(name(), ": cycle or duplicate linkage detected");
     return false;
   }
   const ObjectSnapshot snap = cluster.committed_copy(node);
   if (!snap) {
-    HYFLOW_ERROR("bst: missing committed copy for node ", node.value);
+    HYFLOW_ERROR(name(), ": missing committed copy for node ", node.value);
     return false;
   }
-  const auto& n = object_cast<BstNode>(*snap);
+  const auto& n = object_cast<TreeNode>(*snap);
   if (n.key() <= lo || n.key() >= hi) {
-    HYFLOW_ERROR("bst: order violated at key ", n.key());
+    HYFLOW_ERROR(name(), ": order violated at key ", n.key());
     return false;
   }
-  if (slots_[static_cast<std::size_t>(n.key())] != node) return false;
-  return verify_subtree(cluster, n.left(), lo, n.key(), visited) &&
-         verify_subtree(cluster, n.right(), n.key(), hi, visited);
+  if (slot(n.key()) != node) {
+    HYFLOW_ERROR(name(), ": slot/key identity violated at key ", n.key());
+    return false;
+  }
+  if (n.parent() != parent) {
+    HYFLOW_ERROR(name(), ": parent pointer wrong at key ", n.key());
+    return false;
+  }
+  return verify_subtree(cluster, n.child(kLeft), node, lo, n.key(), visited) &&
+         verify_subtree(cluster, n.child(kRight), node, n.key(), hi, visited);
 }
 
 bool BstWorkload::verify(runtime::Cluster& cluster) {
   const ObjectSnapshot root = cluster.committed_copy(root_obj_);
   if (!root) return false;
   std::size_t visited = 0;
-  return verify_subtree(cluster, object_cast<BstRoot>(*root).root(), INT64_MIN, INT64_MAX,
-                        visited);
+  // Keys lie in [0, universe()): the bounds are exclusive.
+  return verify_subtree(cluster, object_cast<TreeRoot>(*root).root(), kInvalidObject, -1,
+                        static_cast<std::int64_t>(universe()), visited);
 }
 
 }  // namespace hyflow::workloads

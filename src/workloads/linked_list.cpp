@@ -7,30 +7,22 @@
 namespace hyflow::workloads {
 
 void LinkedListWorkload::setup(runtime::Cluster& cluster) {
-  const std::size_t total =
-      static_cast<std::size_t>(cluster.size()) * static_cast<std::size_t>(cfg_.objects_per_node);
-  const std::size_t universe = std::min(kUniverseCap, std::max<std::size_t>(total, 8)) ;
-
-  slots_.clear();
-  slots_.reserve(universe);
-  head_ = make_oid(IdSpace::kListNode, universe);
+  make_slots(cluster);
+  head_ = make_oid(IdSpace::kListNode, universe());
 
   // Initially link the even keys: head -> 0 -> 2 -> 4 -> ...
   auto head = std::make_unique<ListNode>(head_, -1);
   std::vector<std::unique_ptr<ListNode>> nodes;
-  for (std::size_t i = 0; i < universe; ++i) {
-    const ObjectId oid = make_oid(IdSpace::kListNode, i);
-    slots_.push_back(oid);
-    nodes.push_back(std::make_unique<ListNode>(oid, static_cast<std::int64_t>(i)));
-  }
+  for (std::size_t i = 0; i < universe(); ++i)
+    nodes.push_back(std::make_unique<ListNode>(slot(i), static_cast<std::int64_t>(i)));
   ListNode* prev = head.get();
-  for (std::size_t i = 0; i < universe; i += 2) {
-    prev->set_next(slots_[i]);
+  for (std::size_t i = 0; i < universe(); i += 2) {
+    prev->set_next(slot(i));
     prev = nodes[i].get();
   }
 
   cluster.create_object(std::move(head), 0);
-  for (std::size_t i = 0; i < universe; ++i)
+  for (std::size_t i = 0; i < universe(); ++i)
     cluster.create_object(std::move(nodes[i]), static_cast<NodeId>(i % cluster.size()));
 }
 
@@ -45,7 +37,7 @@ bool LinkedListWorkload::contains(tfa::Txn& tx, std::int64_t key) const {
   return false;
 }
 
-void LinkedListWorkload::add(tfa::Txn& tx, std::int64_t key) const {
+void LinkedListWorkload::insert(tfa::Txn& tx, std::int64_t key) const {
   ObjectId prev = head_;
   ObjectId cur = tx.read<ListNode>(head_).next();
   while (cur.valid()) {
@@ -55,9 +47,8 @@ void LinkedListWorkload::add(tfa::Txn& tx, std::int64_t key) const {
     prev = cur;
     cur = node.next();
   }
-  const ObjectId slot = slots_[static_cast<std::size_t>(key)];
-  tx.write<ListNode>(slot).set_next(cur);
-  tx.write<ListNode>(prev).set_next(slot);
+  tx.write<ListNode>(slot(key)).set_next(cur);
+  tx.write<ListNode>(prev).set_next(slot(key));
 }
 
 void LinkedListWorkload::remove(tfa::Txn& tx, std::int64_t key) const {
@@ -75,48 +66,6 @@ void LinkedListWorkload::remove(tfa::Txn& tx, std::int64_t key) const {
   }
 }
 
-Workload::Op LinkedListWorkload::next_op(NodeId node, Xoshiro256& rng) {
-  (void)node;
-  const int ops_n = 1 + static_cast<int>(rng.below(std::max(1, cfg_.max_nested)));
-  std::vector<std::int64_t> keys;
-  for (int i = 0; i < ops_n; ++i)
-    keys.push_back(static_cast<std::int64_t>(rng.below(slots_.size())));
-
-  Op op;
-  if (rng.chance(cfg_.read_ratio)) {
-    op.profile = kProfileContains;
-    op.is_read = true;
-    op.body = [this, keys](tfa::Txn& tx) {
-      int found = 0;
-      for (const std::int64_t key : keys) {
-        tx.nested([&](tfa::Txn& child) {
-          found += contains(child, key) ? 1 : 0;
-          do_local_work();
-        });
-      }
-      if (found < 0) tx.retry();  // keep `found` observable
-    };
-    return op;
-  }
-
-  std::vector<bool> is_add;
-  for (int i = 0; i < ops_n; ++i) is_add.push_back(rng.chance(0.5));
-  op.profile = kProfileUpdate;
-  op.body = [this, keys, is_add](tfa::Txn& tx) {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      tx.nested([&](tfa::Txn& child) {
-        if (is_add[i]) {
-          add(child, keys[i]);
-        } else {
-          remove(child, keys[i]);
-        }
-        do_local_work();
-      });
-    }
-  };
-  return op;
-}
-
 bool LinkedListWorkload::verify(runtime::Cluster& cluster) {
   const ObjectSnapshot head = cluster.committed_copy(head_);
   if (!head) return false;
@@ -124,7 +73,7 @@ bool LinkedListWorkload::verify(runtime::Cluster& cluster) {
   ObjectId cur = object_cast<ListNode>(*head).next();
   std::size_t hops = 0;
   while (cur.valid()) {
-    if (++hops > slots_.size() + 1) {
+    if (++hops > universe() + 1) {
       HYFLOW_ERROR("linked-list: cycle detected");
       return false;
     }
@@ -138,7 +87,7 @@ bool LinkedListWorkload::verify(runtime::Cluster& cluster) {
       HYFLOW_ERROR("linked-list: order violated at key ", node.key());
       return false;
     }
-    if (slots_[static_cast<std::size_t>(node.key())] != cur) {
+    if (slot(node.key()) != cur) {
       HYFLOW_ERROR("linked-list: slot/key identity violated");
       return false;
     }

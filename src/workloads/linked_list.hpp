@@ -1,21 +1,12 @@
 // Distributed sorted linked list (LL microbenchmark).
 //
-// One shared object per list node. Every key in the universe has a
-// dedicated, pre-created node object (key i <-> slot i); membership is
-// toggled by linking/unlinking, so no objects are created or destroyed at
-// runtime. Traversals open a chain of objects — long read sets and many
-// round-trips, the paper's motivation for reusing fetched objects when a
-// parent is enqueued.
-//
-// The universe is capped (see DESIGN.md): the paper's 5-10 objects/node at
-// 80 nodes would mean multi-hundred-hop traversals, each hop a simulated
-// round-trip — structurally identical but uselessly slow for a harness.
+// One shared object per list node: a sentinel head plus the slot of every
+// key in the universe (see int_set.hpp). Traversals open a chain of objects
+// — long read sets and many round-trips, the paper's motivation for reusing
+// fetched objects when a parent is enqueued.
 #pragma once
 
-#include <vector>
-
-#include "workloads/ids.hpp"
-#include "workloads/workload.hpp"
+#include "workloads/int_set.hpp"
 
 namespace hyflow::workloads {
 
@@ -32,30 +23,26 @@ class ListNode : public TxObject<ListNode> {
   ObjectId next_ = kInvalidObject;  // invalid = unlinked / tail
 };
 
-class LinkedListWorkload : public Workload {
+class LinkedListWorkload : public IntSetWorkload {
  public:
   static constexpr std::uint32_t kProfileContains = 30;
   static constexpr std::uint32_t kProfileUpdate = 31;
   static constexpr std::size_t kUniverseCap = 48;
 
-  explicit LinkedListWorkload(const WorkloadConfig& cfg) : Workload(cfg) {}
+  explicit LinkedListWorkload(const WorkloadConfig& cfg)
+      : IntSetWorkload(cfg, IdSpace::kListNode, kUniverseCap, kProfileContains,
+                       kProfileUpdate) {}
 
   std::string name() const override { return "linked-list"; }
   void setup(runtime::Cluster& cluster) override;
-  Op next_op(NodeId node, Xoshiro256& rng) override;
   bool verify(runtime::Cluster& cluster) override;
 
-  std::size_t universe() const { return slots_.size(); }
-
-  // Transactional set operations (run inside a transaction or nested child);
-  // public so applications and oracle tests can drive the list directly.
-  bool contains(tfa::Txn& tx, std::int64_t key) const;
-  void add(tfa::Txn& tx, std::int64_t key) const;
-  void remove(tfa::Txn& tx, std::int64_t key) const;
+  bool contains(tfa::Txn& tx, std::int64_t key) const override;
+  void insert(tfa::Txn& tx, std::int64_t key) const override;
+  void remove(tfa::Txn& tx, std::int64_t key) const override;
 
  private:
-  std::vector<ObjectId> slots_;  // slot i holds key i
-  ObjectId head_;                // sentinel, key = -1
+  ObjectId head_;  // sentinel, key = -1
 };
 
 }  // namespace hyflow::workloads

@@ -5,289 +5,89 @@
 
 namespace hyflow::workloads {
 
-void RbTreeWorkload::setup(runtime::Cluster& cluster) {
-  const std::size_t total =
-      static_cast<std::size_t>(cluster.size()) * static_cast<std::size_t>(cfg_.objects_per_node);
-  const std::size_t universe = std::min(kUniverseCap, std::max<std::size_t>(total, 8));
+void RbTreeWorkload::rotate(tfa::Txn& tx, ObjectId x, int dir) const {
+  const ObjectId y = tx.read<TreeNode>(x).child(1 - dir);
+  const ObjectId inner = tx.read<TreeNode>(y).child(dir);
+  const ObjectId x_parent = tx.read<TreeNode>(x).parent();
 
-  slots_.clear();
-  slots_.reserve(universe);
-  std::vector<std::unique_ptr<RbNode>> nodes;
-  for (std::size_t i = 0; i < universe; ++i) {
-    const ObjectId oid = make_oid(IdSpace::kRbNode, i);
-    slots_.push_back(oid);
-    nodes.push_back(std::make_unique<RbNode>(oid, static_cast<std::int64_t>(i)));
-  }
-
-  // Initial tree: balanced over the even keys, black except the deepest
-  // level, which is red — a height-balanced tree has leaves on two adjacent
-  // levels, so an all-black colouring would violate the equal-black-height
-  // rule; colouring exactly the deepest level red restores it.
-  int max_depth = 0;
-  std::function<ObjectId(std::size_t, std::size_t, ObjectId, int)> build =
-      [&](std::size_t lo, std::size_t hi, ObjectId parent, int depth) -> ObjectId {
-    if (lo >= hi) return kInvalidObject;
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const std::size_t key = mid * 2;
-    if (key >= universe) return kInvalidObject;
-    max_depth = std::max(max_depth, depth);
-    RbNode* n = nodes[key].get();
-    n->set_red(false);
-    n->set_parent(parent);
-    n->set_left(build(lo, mid, slots_[key], depth + 1));
-    n->set_right(build(mid + 1, hi, slots_[key], depth + 1));
-    return slots_[key];
-  };
-  std::function<void(ObjectId, int)> colour = [&](ObjectId node, int depth) {
-    if (!node.valid()) return;
-    RbNode* cur = nodes[static_cast<std::size_t>((node.value & 0xffffffffffffull) - 1)].get();
-    if (depth == max_depth) cur->set_red(true);
-    colour(cur->left(), depth + 1);
-    colour(cur->right(), depth + 1);
-  };
-
-  root_obj_ = make_oid(IdSpace::kRbRoot, 0);
-  auto root = std::make_unique<RbRoot>(root_obj_);
-  root->set_root(build(0, (universe + 1) / 2, kInvalidObject, 0));
-  colour(root->root(), 0);
-
-  cluster.create_object(std::move(root), 0);
-  for (std::size_t i = 0; i < universe; ++i)
-    cluster.create_object(std::move(nodes[i]), static_cast<NodeId>(i % cluster.size()));
-}
-
-bool RbTreeWorkload::contains(tfa::Txn& tx, std::int64_t key) const {
-  ObjectId cur = tx.read<RbRoot>(root_obj_).root();
-  while (cur.valid()) {
-    const RbNode& node = tx.read<RbNode>(cur);
-    if (node.key() == key) return !node.deleted();
-    cur = key < node.key() ? node.left() : node.right();
-  }
-  return false;
-}
-
-void RbTreeWorkload::remove(tfa::Txn& tx, std::int64_t key) const {
-  ObjectId cur = tx.read<RbRoot>(root_obj_).root();
-  while (cur.valid()) {
-    const RbNode& node = tx.read<RbNode>(cur);
-    if (node.key() == key) {
-      if (!node.deleted()) tx.write<RbNode>(cur).set_deleted(true);
-      return;
-    }
-    cur = key < node.key() ? node.left() : node.right();
-  }
-}
-
-void RbTreeWorkload::rotate_left(tfa::Txn& tx, ObjectId x) const {
-  const ObjectId y = tx.read<RbNode>(x).right();
-  const ObjectId y_left = tx.read<RbNode>(y).left();
-  const ObjectId x_parent = tx.read<RbNode>(x).parent();
-
-  tx.write<RbNode>(x).set_right(y_left);
-  if (y_left.valid()) tx.write<RbNode>(y_left).set_parent(x);
-  tx.write<RbNode>(y).set_parent(x_parent);
+  tx.write<TreeNode>(x).set_child(1 - dir, inner);
+  if (inner.valid()) tx.write<TreeNode>(inner).set_parent(x);
+  tx.write<TreeNode>(y).set_parent(x_parent);
   if (!x_parent.valid()) {
-    tx.write<RbRoot>(root_obj_).set_root(y);
-  } else if (tx.read<RbNode>(x_parent).left() == x) {
-    tx.write<RbNode>(x_parent).set_left(y);
+    tx.write<TreeRoot>(root_obj_).set_root(y);
   } else {
-    tx.write<RbNode>(x_parent).set_right(y);
+    const int side = tx.read<TreeNode>(x_parent).child(kLeft) == x ? kLeft : kRight;
+    tx.write<TreeNode>(x_parent).set_child(side, y);
   }
-  tx.write<RbNode>(y).set_left(x);
-  tx.write<RbNode>(x).set_parent(y);
+  tx.write<TreeNode>(y).set_child(dir, x);
+  tx.write<TreeNode>(x).set_parent(y);
 }
 
-void RbTreeWorkload::rotate_right(tfa::Txn& tx, ObjectId x) const {
-  const ObjectId y = tx.read<RbNode>(x).left();
-  const ObjectId y_right = tx.read<RbNode>(y).right();
-  const ObjectId x_parent = tx.read<RbNode>(x).parent();
-
-  tx.write<RbNode>(x).set_left(y_right);
-  if (y_right.valid()) tx.write<RbNode>(y_right).set_parent(x);
-  tx.write<RbNode>(y).set_parent(x_parent);
-  if (!x_parent.valid()) {
-    tx.write<RbRoot>(root_obj_).set_root(y);
-  } else if (tx.read<RbNode>(x_parent).left() == x) {
-    tx.write<RbNode>(x_parent).set_left(y);
-  } else {
-    tx.write<RbNode>(x_parent).set_right(y);
-  }
-  tx.write<RbNode>(y).set_right(x);
-  tx.write<RbNode>(x).set_parent(y);
-}
-
-void RbTreeWorkload::fixup(tfa::Txn& tx, ObjectId z) const {
+void RbTreeWorkload::rebalance(tfa::Txn& tx, ObjectId z) const {
   while (true) {
-    const ObjectId p = tx.read<RbNode>(z).parent();
-    if (!p.valid() || !tx.read<RbNode>(p).red()) break;
-    const ObjectId g = tx.read<RbNode>(p).parent();
+    const ObjectId p = tx.read<TreeNode>(z).parent();
+    if (!p.valid() || !tx.read<TreeNode>(p).red()) break;
+    const ObjectId g = tx.read<TreeNode>(p).parent();
     if (!g.valid()) break;  // parent is the root; handled after the loop
-    const bool p_is_left = tx.read<RbNode>(g).left() == p;
-    const ObjectId u = p_is_left ? tx.read<RbNode>(g).right() : tx.read<RbNode>(g).left();
+    // `side` is the parent's side below the grandparent.
+    const int side = tx.read<TreeNode>(g).child(kLeft) == p ? kLeft : kRight;
+    const ObjectId u = tx.read<TreeNode>(g).child(1 - side);
 
-    if (u.valid() && tx.read<RbNode>(u).red()) {
+    if (u.valid() && tx.read<TreeNode>(u).red()) {
       // Case 1: red uncle — recolour and ascend.
-      tx.write<RbNode>(p).set_red(false);
-      tx.write<RbNode>(u).set_red(false);
-      tx.write<RbNode>(g).set_red(true);
+      tx.write<TreeNode>(p).set_red(false);
+      tx.write<TreeNode>(u).set_red(false);
+      tx.write<TreeNode>(g).set_red(true);
       z = g;
       continue;
     }
-    if (p_is_left) {
-      if (tx.read<RbNode>(p).right() == z) {
-        // Case 2: inner child — rotate to the outside first.
-        z = p;
-        rotate_left(tx, z);
-      }
-      const ObjectId p2 = tx.read<RbNode>(z).parent();
-      const ObjectId g2 = tx.read<RbNode>(p2).parent();
-      tx.write<RbNode>(p2).set_red(false);
-      tx.write<RbNode>(g2).set_red(true);
-      rotate_right(tx, g2);
-    } else {
-      if (tx.read<RbNode>(p).left() == z) {
-        z = p;
-        rotate_right(tx, z);
-      }
-      const ObjectId p2 = tx.read<RbNode>(z).parent();
-      const ObjectId g2 = tx.read<RbNode>(p2).parent();
-      tx.write<RbNode>(p2).set_red(false);
-      tx.write<RbNode>(g2).set_red(true);
-      rotate_left(tx, g2);
+    if (tx.read<TreeNode>(p).child(1 - side) == z) {
+      // Case 2: inner child — rotate to the outside first.
+      z = p;
+      rotate(tx, z, side);
     }
+    // Case 3: outer child — recolour and rotate the grandparent away.
+    const ObjectId p2 = tx.read<TreeNode>(z).parent();
+    const ObjectId g2 = tx.read<TreeNode>(p2).parent();
+    tx.write<TreeNode>(p2).set_red(false);
+    tx.write<TreeNode>(g2).set_red(true);
+    rotate(tx, g2, 1 - side);
     break;
   }
-  const ObjectId root = tx.read<RbRoot>(root_obj_).root();
-  if (root.valid() && tx.read<RbNode>(root).red()) tx.write<RbNode>(root).set_red(false);
+  const ObjectId root = tx.read<TreeRoot>(root_obj_).root();
+  if (root.valid() && tx.read<TreeNode>(root).red()) tx.write<TreeNode>(root).set_red(false);
 }
 
-void RbTreeWorkload::insert(tfa::Txn& tx, std::int64_t key) const {
-  const ObjectId slot = slots_[static_cast<std::size_t>(key)];
-  ObjectId parent = kInvalidObject;
-  ObjectId cur = tx.read<RbRoot>(root_obj_).root();
-  while (cur.valid()) {
-    const RbNode& node = tx.read<RbNode>(cur);
-    if (node.key() == key) {
-      if (node.deleted()) tx.write<RbNode>(cur).set_deleted(false);
-      return;
-    }
-    parent = cur;
-    cur = key < node.key() ? node.left() : node.right();
-  }
-
-  tx.write<RbNode>(slot).reset_links();
-  tx.write<RbNode>(slot).set_parent(parent);
-  if (!parent.valid()) {
-    tx.write<RbNode>(slot).set_red(false);
-    tx.write<RbRoot>(root_obj_).set_root(slot);
-    return;
-  }
-  if (key < tx.read<RbNode>(parent).key()) {
-    tx.write<RbNode>(parent).set_left(slot);
-  } else {
-    tx.write<RbNode>(parent).set_right(slot);
-  }
-  fixup(tx, slot);
-}
-
-Workload::Op RbTreeWorkload::next_op(NodeId node, Xoshiro256& rng) {
-  (void)node;
-  const int ops_n = 1 + static_cast<int>(rng.below(std::max(1, cfg_.max_nested)));
-  std::vector<std::int64_t> keys;
-  for (int i = 0; i < ops_n; ++i)
-    keys.push_back(static_cast<std::int64_t>(rng.below(slots_.size())));
-
-  Op op;
-  if (rng.chance(cfg_.read_ratio)) {
-    op.profile = kProfileContains;
-    op.is_read = true;
-    op.body = [this, keys](tfa::Txn& tx) {
-      int found = 0;
-      for (const std::int64_t key : keys)
-        tx.nested([&](tfa::Txn& child) {
-          found += contains(child, key) ? 1 : 0;
-          do_local_work();
-        });
-      if (found < 0) tx.retry();
-    };
-    return op;
-  }
-
-  std::vector<bool> is_insert;
-  for (int i = 0; i < ops_n; ++i) is_insert.push_back(rng.chance(0.5));
-  op.profile = kProfileUpdate;
-  op.body = [this, keys, is_insert](tfa::Txn& tx) {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      tx.nested([&](tfa::Txn& child) {
-        if (is_insert[i]) {
-          insert(child, keys[i]);
-        } else {
-          remove(child, keys[i]);
-        }
-        do_local_work();
-      });
-    }
-  };
-  return op;
-}
-
-bool RbTreeWorkload::verify_subtree(runtime::Cluster& cluster, ObjectId node,
-                                    ObjectId expected_parent, std::int64_t lo, std::int64_t hi,
-                                    bool parent_red, int black_so_far, int& black_height,
-                                    std::size_t& visited) const {
+bool RbTreeWorkload::verify_colours(runtime::Cluster& cluster, ObjectId node, bool parent_red,
+                                    int black_so_far, int& black_height) const {
   if (!node.valid()) {
-    if (black_height < 0) {
-      black_height = black_so_far;
-      return true;
-    }
-    if (black_height != black_so_far) {
-      HYFLOW_ERROR("rb-tree: black-height mismatch (", black_height, " vs ", black_so_far, ")");
-      return false;
-    }
-    return true;
-  }
-  if (++visited > slots_.size()) {
-    HYFLOW_ERROR("rb-tree: cycle or duplicate linkage detected");
+    if (black_height < 0) black_height = black_so_far;
+    if (black_height == black_so_far) return true;
+    HYFLOW_ERROR("rb-tree: black-height mismatch (", black_height, " vs ", black_so_far, ")");
     return false;
   }
   const ObjectSnapshot snap = cluster.committed_copy(node);
-  if (!snap) return false;
-  const auto& n = object_cast<RbNode>(*snap);
-  if (n.key() <= lo || n.key() >= hi) {
-    HYFLOW_ERROR("rb-tree: order violated at key ", n.key());
-    return false;
-  }
-  if (n.parent() != expected_parent) {
-    HYFLOW_ERROR("rb-tree: parent pointer wrong at key ", n.key());
-    return false;
-  }
+  const auto& n = object_cast<TreeNode>(*snap);
   if (parent_red && n.red()) {
     HYFLOW_ERROR("rb-tree: red-red violation at key ", n.key());
     return false;
   }
   const int black = black_so_far + (n.red() ? 0 : 1);
-  return verify_subtree(cluster, n.left(), node, lo, n.key(), n.red(), black, black_height,
-                        visited) &&
-         verify_subtree(cluster, n.right(), node, n.key(), hi, n.red(), black, black_height,
-                        visited);
+  return verify_colours(cluster, n.child(kLeft), n.red(), black, black_height) &&
+         verify_colours(cluster, n.child(kRight), n.red(), black, black_height);
 }
 
 bool RbTreeWorkload::verify(runtime::Cluster& cluster) {
-  const ObjectSnapshot root_snap = cluster.committed_copy(root_obj_);
-  if (!root_snap) return false;
-  const ObjectId root = object_cast<RbRoot>(*root_snap).root();
-  if (root.valid()) {
-    const ObjectSnapshot r = cluster.committed_copy(root);
-    if (!r) return false;
-    if (object_cast<RbNode>(*r).red()) {
-      HYFLOW_ERROR("rb-tree: red root");
-      return false;
-    }
+  // The BST audit has found every committed copy and no cycle, so the
+  // colour walk below needs no such checks of its own.
+  if (!BstWorkload::verify(cluster)) return false;
+  const ObjectId root = object_cast<TreeRoot>(*cluster.committed_copy(root_obj_)).root();
+  if (root.valid() && object_cast<TreeNode>(*cluster.committed_copy(root)).red()) {
+    HYFLOW_ERROR("rb-tree: red root");
+    return false;
   }
   int black_height = -1;
-  std::size_t visited = 0;
-  return verify_subtree(cluster, root, kInvalidObject, INT64_MIN, INT64_MAX, false, 0,
-                        black_height, visited);
+  return verify_colours(cluster, root, false, 0, black_height);
 }
 
 }  // namespace hyflow::workloads

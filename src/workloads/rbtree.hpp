@@ -1,97 +1,39 @@
 // Distributed red-black tree (RB-Tree microbenchmark).
 //
-// Same slot-per-key object model as the BST, but inserts run the full
-// red-black fixup — recolouring and rotations write several tree objects in
-// one transaction, making update transactions markedly heavier than BST's
-// single-link writes (visible in Figs. 4d/5d vs 4e/5e). Removal is lazy.
-//
-// Transactional discipline: tree code never holds an object reference
-// across a mutation — every step re-opens by ObjectId and copies the fields
-// it needs, because writing an object redirects subsequent reads to the
-// private working copy.
+// The BST (bst.hpp) with one addition: after an insert links its new red
+// leaf, the red-black fixup recolours and rotates — it writes several tree
+// objects in one transaction, making update transactions markedly heavier
+// than BST's single-link writes (visible in Figs. 4d/5d vs 4e/5e). Removal
+// is lazy, as in the BST.
 #pragma once
 
-#include <vector>
-
-#include "workloads/ids.hpp"
-#include "workloads/workload.hpp"
+#include "workloads/bst.hpp"
 
 namespace hyflow::workloads {
 
-class RbNode : public TxObject<RbNode> {
- public:
-  RbNode(ObjectId id, std::int64_t key) : TxObject(id), key_(key) {}
-
-  std::int64_t key() const { return key_; }
-  ObjectId left() const { return left_; }
-  ObjectId right() const { return right_; }
-  ObjectId parent() const { return parent_; }
-  bool red() const { return red_; }
-  bool deleted() const { return deleted_; }
-
-  void set_left(ObjectId n) { left_ = n; }
-  void set_right(ObjectId n) { right_ = n; }
-  void set_parent(ObjectId n) { parent_ = n; }
-  void set_red(bool r) { red_ = r; }
-  void set_deleted(bool d) { deleted_ = d; }
-  void reset_links() {
-    left_ = right_ = parent_ = kInvalidObject;
-    red_ = true;
-    deleted_ = false;
-  }
-
- private:
-  std::int64_t key_;
-  ObjectId left_ = kInvalidObject;
-  ObjectId right_ = kInvalidObject;
-  ObjectId parent_ = kInvalidObject;
-  bool red_ = false;
-  bool deleted_ = false;
-};
-
-class RbRoot : public TxObject<RbRoot> {
- public:
-  explicit RbRoot(ObjectId id) : TxObject(id) {}
-  ObjectId root() const { return root_; }
-  void set_root(ObjectId n) { root_ = n; }
-
- private:
-  ObjectId root_ = kInvalidObject;
-};
-
-class RbTreeWorkload : public Workload {
+class RbTreeWorkload : public BstWorkload {
  public:
   static constexpr std::uint32_t kProfileContains = 50;
   static constexpr std::uint32_t kProfileUpdate = 51;
-  static constexpr std::size_t kUniverseCap = 64;
 
-  explicit RbTreeWorkload(const WorkloadConfig& cfg) : Workload(cfg) {}
+  explicit RbTreeWorkload(const WorkloadConfig& cfg)
+      : BstWorkload(cfg, IdSpace::kRbNode, IdSpace::kRbRoot, kProfileContains,
+                    kProfileUpdate) {}
 
   std::string name() const override { return "rb-tree"; }
-  void setup(runtime::Cluster& cluster) override;
-  Op next_op(NodeId node, Xoshiro256& rng) override;
+  // The BST audit, then a black root, no red node with a red child, and
+  // one black height on every root-to-leaf path.
   bool verify(runtime::Cluster& cluster) override;
 
-  std::size_t universe() const { return slots_.size(); }
-
-  // Transactional set operations; public so applications and oracle tests
-  // can drive the tree directly.
-  bool contains(tfa::Txn& tx, std::int64_t key) const;
-  void insert(tfa::Txn& tx, std::int64_t key) const;
-  void remove(tfa::Txn& tx, std::int64_t key) const;
+ protected:
+  void rebalance(tfa::Txn& tx, ObjectId z) const override;
 
  private:
+  // Moves `x` down to the `dir` side of its child on the other side.
+  void rotate(tfa::Txn& tx, ObjectId x, int dir) const;
 
-  void fixup(tfa::Txn& tx, ObjectId z) const;
-  void rotate_left(tfa::Txn& tx, ObjectId x) const;
-  void rotate_right(tfa::Txn& tx, ObjectId x) const;
-
-  bool verify_subtree(runtime::Cluster& cluster, ObjectId node, ObjectId expected_parent,
-                      std::int64_t lo, std::int64_t hi, bool parent_red, int black_so_far,
-                      int& black_height, std::size_t& visited) const;
-
-  std::vector<ObjectId> slots_;
-  ObjectId root_obj_;
+  bool verify_colours(runtime::Cluster& cluster, ObjectId node, bool parent_red,
+                      int black_so_far, int& black_height) const;
 };
 
 }  // namespace hyflow::workloads

@@ -160,7 +160,7 @@ TEST(SequentialOracle, LinkedListMatchesSetOracle) {
                              [&](tfa::Txn& tx) {
                                tx.nested([&](tfa::Txn& child) {
                                  switch (action) {
-                                   case 0: wl.add(child, key); break;
+                                   case 0: wl.insert(child, key); break;
                                    case 1: wl.remove(child, key); break;
                                    default: found = wl.contains(child, key); break;
                                  }

@@ -217,8 +217,8 @@ TEST(LinkedList, AddRemoveIdempotent) {
   auto run = [&](auto fn) {
     ASSERT_TRUE(cluster.execute(0, 1, [&](tfa::Txn& tx) { fn(tx); }).committed);
   };
-  run([&](tfa::Txn& tx) { ll.add(tx, 1); });
-  run([&](tfa::Txn& tx) { ll.add(tx, 1); });  // second add: no-op
+  run([&](tfa::Txn& tx) { ll.insert(tx, 1); });
+  run([&](tfa::Txn& tx) { ll.insert(tx, 1); });  // second insert: no-op
   EXPECT_TRUE(ll.verify(cluster));
   run([&](tfa::Txn& tx) { ll.remove(tx, 1); });
   run([&](tfa::Txn& tx) { ll.remove(tx, 1); });  // second remove: no-op
@@ -256,6 +256,30 @@ TEST(Bst, InitialTreeValidAndEvensPresent) {
   cluster.shutdown();
 }
 
+TEST(Bst, VerifyCatchesBrokenParentPointer) {
+  BstWorkload bst(quick_config());
+  runtime::Cluster cluster(quiet_cluster(2));
+  bst.setup(cluster);
+  ASSERT_TRUE(bst.verify(cluster));
+  // Point one linked non-root node's parent at itself.
+  bool corrupted = false;
+  for (NodeId n = 0; n < 2 && !corrupted; ++n) {
+    for (const ObjectId oid : cluster.node(n).store().owned_ids()) {
+      const auto slot = cluster.node(n).store().get(oid);
+      auto forged = slot->object->clone();
+      if (auto* node = dynamic_cast<TreeNode*>(forged.get()); node && node->parent().valid()) {
+        node->set_parent(oid);
+        cluster.node(n).store().install(ObjectSnapshot{std::move(forged)}, slot->version);
+        corrupted = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(corrupted);
+  EXPECT_FALSE(bst.verify(cluster));
+  cluster.shutdown();
+}
+
 TEST(RbTree, InitialTreeSatisfiesAllInvariants) {
   RbTreeWorkload rb(quick_config());
   runtime::Cluster cluster(quiet_cluster(3));
@@ -274,7 +298,7 @@ TEST(RbTree, VerifyCatchesRedRedViolation) {
     for (const ObjectId oid : cluster.node(n).store().owned_ids()) {
       const auto slot = cluster.node(n).store().get(oid);
       auto forged = slot->object->clone();
-      if (auto* node = dynamic_cast<RbNode*>(forged.get()); node && !node->red()) {
+      if (auto* node = dynamic_cast<TreeNode*>(forged.get()); node && !node->red()) {
         node->set_red(true);
         cluster.node(n).store().install(ObjectSnapshot{std::move(forged)}, slot->version);
         corrupted = true;
