@@ -1,6 +1,5 @@
 #include "runtime/experiment.hpp"
 
-#include <sstream>
 #include <thread>
 
 #include "util/log.hpp"
@@ -47,21 +46,6 @@ ExperimentResult run_experiment(workloads::Workload& workload, const ExperimentC
   }
   cluster.shutdown();
   return result;
-}
-
-std::string ExperimentResult::summary() const {
-  std::ostringstream os;
-  os << "throughput=" << throughput << " txn/s"
-     << " nested_abort_rate=" << nested_abort_rate << " abort_ratio=" << abort_ratio
-     << " commits=" << delta.commits_root << " aborts=" << delta.aborts_total()
-     << " enqueued=" << delta.enqueued << " handoffs=" << delta.handoffs_received
-     << " messages=" << messages;
-  if (delta.latency.count() > 0) {
-    os << " p50_ms=" << static_cast<double>(delta.latency.value_at_percentile(50)) / 1e6
-       << " p99_ms=" << static_cast<double>(delta.latency.value_at_percentile(99)) / 1e6;
-  }
-  os << (verified ? "" : " VERIFY-FAILED");
-  return os.str();
 }
 
 }  // namespace hyflow::runtime

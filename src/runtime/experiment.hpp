@@ -5,8 +5,6 @@
 // supporting abort/enqueue/hand-off counters.
 #pragma once
 
-#include <string>
-
 #include "runtime/cluster.hpp"
 #include "runtime/report.hpp"
 #include "util/time.hpp"
@@ -35,8 +33,6 @@ struct ExperimentResult {
   std::uint64_t queue_residue = 0;   // requesters still parked at the end
   ClusterReport report;              // collected after the workers stopped
   bool verified = true;
-
-  std::string summary() const;
 };
 
 // Runs `workload` on a fresh cluster built from `cfg`.

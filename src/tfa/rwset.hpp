@@ -27,7 +27,6 @@ struct AccessEntry {
   net::AccessMode mode = net::AccessMode::kRead;
   NodeId owner_hint = kInvalidNode;           // who served the fetch
   std::uint32_t owner_cl = 0;                 // local CL piggy-backed on the fetch
-  int fetch_depth = 0;                        // nesting level that fetched it
   bool inherited = false;  // views an ancestor's entry; never merged/validated here
 
   // The value this level observes: its own write if any, else the base.
@@ -56,7 +55,6 @@ class AccessSet {
     return entries_.insert_or_assign(oid, std::move(entry)).first->second;
   }
 
-  void erase(ObjectId oid) { entries_.erase(oid); }
   void clear() { entries_.clear(); }
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }

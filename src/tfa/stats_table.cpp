@@ -21,9 +21,4 @@ void StatsTable::record_commit(std::uint32_t profile, SimDuration duration) {
   entries_[profile].add(static_cast<double>(duration));  // alpha 0.2
 }
 
-std::size_t StatsTable::profile_count() const {
-  MutexLock lk(mu_);
-  return entries_.size();
-}
-
 }  // namespace hyflow::tfa

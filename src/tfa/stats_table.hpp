@@ -35,8 +35,6 @@ class StatsTable {
 
   void record_commit(std::uint32_t profile, SimDuration duration);
 
-  std::size_t profile_count() const;
-
  private:
   SimDuration default_duration_;
   mutable Mutex mu_{LockRank::kStatsTable, "StatsTable::mu"};

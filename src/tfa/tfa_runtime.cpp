@@ -77,7 +77,7 @@ RunResult TfaRuntime::run(std::uint32_t profile, const std::function<void(Txn&)>
     // current attempt — it estimates the *remaining* execution charged to
     // the queue.
     Transaction root(TxnId::make(comm_.self(), txn_seq_.fetch_add(1, std::memory_order_relaxed)),
-                     profile, clock_.read(), first_start,
+                     clock_.read(), first_start,
                      stats_.expected_commit(profile, attempt_start));
     Txn handle(*this, root);
     try {
@@ -133,7 +133,6 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
     view.version = found.entry->version;
     view.mode = mode;
     view.owner_hint = found.entry->owner_hint;
-    view.fetch_depth = leaf.depth();
     AccessEntry& e = leaf.set().insert(oid, std::move(view));
     if (mode == net::AccessMode::kWrite) e.mutable_copy();
     return e;
@@ -239,7 +238,6 @@ AccessEntry& TfaRuntime::admit_granted(Transaction& leaf, ObjectId oid, net::Acc
   e.mode = mode;
   e.owner_hint = reply.from;
   e.owner_cl = resp.owner_cl;
-  e.fetch_depth = leaf.depth();
   AccessEntry& ref = leaf.set().insert(oid, std::move(e));
   if (mode == net::AccessMode::kWrite) ref.mutable_copy();
   owner_.note_owner(oid, reply.from);

@@ -26,10 +26,8 @@ namespace hyflow::tfa {
 class Transaction {
  public:
   // Root transaction.
-  Transaction(TxnId id, std::uint32_t profile, std::uint64_t start_clock,
-              SimTime wall_start, SimTime expected_commit)
+  Transaction(TxnId id, std::uint64_t start_clock, SimTime wall_start, SimTime expected_commit)
       : id_(id),
-        profile_(profile),
         start_clock_(start_clock),
         wall_start_(wall_start),
         expected_commit_(expected_commit) {}
@@ -38,8 +36,7 @@ class Transaction {
   // protocol code can walk the live chain root -> leaf (there is at most
   // one: a transaction tree executes on a single thread).
   explicit Transaction(Transaction& parent)
-      : id_(parent.id_), profile_(parent.profile_), parent_(&parent),
-        depth_(parent.depth_ + 1) {
+      : id_(parent.id_), parent_(&parent), depth_(parent.depth_ + 1) {
     parent.active_child_ = this;
   }
 
@@ -53,10 +50,8 @@ class Transaction {
   Transaction* active_child() { return active_child_; }
 
   TxnId id() const { return id_; }
-  std::uint32_t profile() const { return profile_; }
   bool is_root() const { return parent_ == nullptr; }
   int depth() const { return depth_; }
-  Transaction* parent() { return parent_; }
 
   Transaction& root() {
     Transaction* t = this;
@@ -95,7 +90,6 @@ class Transaction {
 
  private:
   TxnId id_;
-  std::uint32_t profile_ = 0;
   Transaction* parent_ = nullptr;
   Transaction* active_child_ = nullptr;
   int depth_ = 0;

@@ -2,8 +2,8 @@
 //
 // All protocol-visible timestamps are `SimTime` — nanoseconds on the host
 // steady clock. The paper's link delays (1..50 ms) are mapped onto the host
-// through a configurable `time_scale` (see net::Topology), so a "paper
-// millisecond" is typically tens of host microseconds. Keeping a single
+// by the default link delays of net::TopologyConfig (50 µs..2.5 ms), so a
+// "paper millisecond" is typically tens of host microseconds. Keeping a single
 // monotonic clock for every node is fine: TFA itself only relies on per-node
 // *logical* clocks (tfa::NodeClock); SimTime is used for delays, backoffs and
 // metrics, where the paper also assumes loosely synchronised wall clocks.
@@ -35,7 +35,6 @@ inline std::chrono::nanoseconds to_chrono(SimDuration d) {
 class Stopwatch {
  public:
   Stopwatch() : start_(sim_now()) {}
-  void reset() { start_ = sim_now(); }
   SimDuration elapsed() const { return sim_now() - start_; }
 
  private:

@@ -269,7 +269,6 @@ TEST(Experiment, ProducesConsistentResult) {
   EXPECT_GT(result.delta.commits_root, 0u);
   EXPECT_TRUE(result.verified);
   EXPECT_GT(result.messages, result.delta.commits_root);  // >1 message per txn
-  EXPECT_FALSE(result.summary().empty());
   // Throughput must equal window commits / window seconds (approximately;
   // the window is wall-clock measured).
   const double implied =

@@ -67,7 +67,6 @@ TEST(StatsTable, EwmaTracksCommits) {
               static_cast<double>(sim_ms(10)), static_cast<double>(sim_ms(1)));
   // Other profiles are independent.
   EXPECT_EQ(table.expected_duration(2), sim_ms(3));
-  EXPECT_EQ(table.profile_count(), 1u);
 }
 
 TEST(StatsTable, IgnoresNonPositiveDurations) {
@@ -117,8 +116,8 @@ TEST(AccessSet, WriteCountSkipsInheritedAndReads) {
 // ------------------------------------------------------ Transaction tree ----
 
 Transaction make_root() {
-  return Transaction(TxnId::make(0, 1), /*profile=*/1, /*start_clock=*/3,
-                     /*wall_start=*/100, /*expected_commit=*/200);
+  return Transaction(TxnId::make(0, 1), /*start_clock=*/3, /*wall_start=*/100,
+                     /*expected_commit=*/200);
 }
 
 TEST(Transaction, RootState) {
