@@ -3,9 +3,10 @@
 //
 // Nodes are placed uniformly at random in the unit square; the link delay
 // between two nodes is their Euclidean distance mapped linearly onto
-// [min_delay, max_delay]. `time_scale` compresses paper milliseconds onto
-// the host so an 80-node run finishes in seconds (default: 1 paper ms =
-// 50 host µs). Delays are symmetric and fixed for a run ("a static
+// [min_delay, max_delay]. The defaults, 50 µs and 2.5 ms, compress the
+// paper's 1-50 ms onto the host (1 paper ms = 50 host µs) so an 80-node run
+// finishes in seconds; the benches set them with --min-delay-us and
+// --max-delay-us. Delays are symmetric and fixed for a run ("a static
 // network", §IV-A), so per-pair FIFO ordering holds automatically.
 #pragma once
 

@@ -4,14 +4,15 @@
 //
 // Transactions (heavyweight — the paper notes Vacation and Bank "take
 // longer execution time than other benchmarks"):
-//   * make_reservation (write): for each requested resource, a nested child
-//     queries candidate shards for the best available offer and a second
-//     nested child books it — incrementing `used` on the resource shard and
-//     appending to the customer record atomically.
+//   * make_reservation (write): for each requested resource, one nested
+//     child books it — incrementing `used` on the resource shard and
+//     appending to the customer record atomically — or skips it when it is
+//     sold out.
 //   * delete_customer (write): nested children release every reservation,
 //     then erase the customer record.
 //   * update_tables (write): nested children add capacity / change prices.
-//   * query (read): nested children scan shards for the cheapest offer.
+//   * query (read): one nested child per probed resource reads its shard;
+//     the query sums the prices of the probed items still available.
 //
 // Invariant: for every resource item, `used` equals the number of customer
 // reservations referencing it, and 0 <= used <= total.
