@@ -30,8 +30,8 @@ inline std::chrono::nanoseconds to_chrono(SimDuration d) {
   return std::chrono::nanoseconds(d);
 }
 
-// Stopwatch for metrics and for the ETS (start / request / expected-commit)
-// timestamps that ride on every object request.
+// Host time elapsed since construction (the makespan bench times a batch
+// of transactions with it).
 class Stopwatch {
  public:
   Stopwatch() : start_(sim_now()) {}
