@@ -106,6 +106,11 @@ class Comm {
   // Sends a request and returns the handle for its reply/replies.
   virtual RequestCall request(NodeId to, Payload payload) = 0;
 
+  // Sends a request that no pending call waits for and returns its msg_id:
+  // the reply reaches the node's handler, which passes it to the owner side
+  // (the Alg. 4 hand-off, whose record keys on the id).
+  virtual std::uint64_t send_request(NodeId to, Payload payload) = 0;
+
   // One-way message (no reply expected).
   virtual void post(NodeId to, Payload payload) = 0;
 
@@ -124,7 +129,7 @@ class Comm {
   virtual void resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
                       Payload payload) = 0;
 
-  // The node's retry schedule for reliable_wait().
+  // The node's retry schedule for reliable_wait() and the hand-off resends.
   virtual const RetryPolicy& retry_policy() const = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "runtime/cluster.hpp"
 
+#include <chrono>
+
 #include "dsm/directory.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -24,8 +26,9 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
       node->handle_message(std::move(msg));
     });
   }
-  // Expire unacknowledged Alg. 4 grants on every node, so a dropped
-  // hand-off re-serves the queue instead of stranding it.
+  // Expire unacknowledged Alg. 4 grants on every node, so a dropped grant
+  // re-serves the queue instead of stranding it, and resend overdue
+  // hand-offs, so a dropped CommitRequest or reply still moves the queue.
   network_->set_tick(sim_ms(1), [this](SimTime now) {
     for (auto& n : nodes_) n->owner().sweep(now);
   });
@@ -71,7 +74,6 @@ void Cluster::start_workers(workloads::Workload& workload) {
 }
 
 void Cluster::stop_workers() {
-  if (workers_.empty()) return;
   // Graceful stop: workers finish their current transaction. Every RPC wait
   // is reply-bounded while the network runs, and a parked transaction's
   // backoff is capped, so joins converge without cutting pending calls —
@@ -79,8 +81,20 @@ void Cluster::stop_workers() {
   for (auto& w : workers_) w.request_stop();
   workers_.clear();  // joins
   // Drain in-flight messages (ownership transfers, unlock notifications) so
-  // post-run audits see a quiescent, consistent cluster.
+  // post-run audits see a quiescent, consistent cluster. A hand-off whose
+  // CommitRequest or reply was lost waits for the sweep's resend; the sweep
+  // gives it up when its retry budget runs out, so the loop ends.
   network_->wait_idle();
+  while (pending_handoffs() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    network_->wait_idle();
+  }
+}
+
+std::size_t Cluster::pending_handoffs() {
+  std::size_t pending = 0;
+  for (auto& n : nodes_) pending += n->owner().pending_handoffs();
+  return pending;
 }
 
 tfa::RunResult Cluster::execute(NodeId node_id, std::uint32_t profile,

@@ -1,6 +1,6 @@
 // The simulated cluster: N nodes over a latency-modelled network.
 //
-// Construction wires every node's handler and the 1 ms grant sweep into the
+// Construction wires every node's handler and the 1 ms sweep into the
 // network and starts its dispatcher, which runs every handler and every
 // sweep; the only other threads a cluster starts are the workers of
 // `start_workers`. `create_object` places initial objects (store slot at the
@@ -57,6 +57,8 @@ class Cluster {
 
   // ---- workload driving ----
   void start_workers(workloads::Workload& workload);
+  // Joins the workers, if any, then drains the network and every pending
+  // hand-off, so audits see a quiescent cluster.
   void stop_workers();
 
   // Runs one transaction synchronously on `node` (examples/tests).
@@ -67,7 +69,11 @@ class Cluster {
   // live, not just after stop_workers().
   MetricsSnapshot total_metrics() const;
 
-  // Stops workers, unblocks pending calls, stops the network.
+  // Hand-offs whose reply has not arrived yet, summed over the nodes.
+  std::size_t pending_handoffs();
+
+  // Stops workers and drains (stop_workers), unblocks pending calls, stops
+  // the network.
   void shutdown();
 
  private:

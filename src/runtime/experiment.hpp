@@ -23,15 +23,17 @@ struct ExperimentConfig {
 };
 
 struct ExperimentResult {
-  double throughput = 0.0;           // root commits / second (measurement window)
-  double nested_abort_rate = 0.0;    // Table I metric
-  double abort_ratio = 0.0;          // root aborts / (commits + aborts)
-  MetricsSnapshot delta;             // window counters (incl. latency histogram)
-  double seconds = 0.0;              // measured wall time of the window
-  std::uint64_t messages = 0;        // transport messages in the window
-  std::uint64_t bytes = 0;           // transport bytes in the window
-  std::uint64_t queue_residue = 0;   // requesters still parked at the end
-  ClusterReport report;              // collected after the workers stopped
+  double throughput = 0.0;             // root commits / second (measurement window)
+  double nested_abort_rate = 0.0;      // Table I metric
+  double abort_ratio = 0.0;            // root aborts / (commits + aborts)
+  MetricsSnapshot delta;               // window counters (incl. latency histogram)
+  double seconds = 0.0;                // measured wall time of the window
+  std::uint64_t messages = 0;          // transport messages in the window
+  std::uint64_t bytes = 0;             // transport bytes in the window
+  std::uint64_t queue_residue = 0;     // requesters still parked at the end
+  std::uint64_t locked_slots = 0;      // slots still locked at the end
+  std::uint64_t pending_handoffs = 0;  // hand-offs still awaiting a reply
+  ClusterReport report;                // collected after the workers stopped
   bool verified = true;
 };
 

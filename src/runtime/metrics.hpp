@@ -52,7 +52,8 @@ namespace hyflow::runtime {
   X(rpc_retries)      /* requests re-sent after a timeout */                   \
   X(dedup_hits)       /* duplicate requests answered from cache */             \
   X(watchdog_aborts)  /* transactions aborted on retry exhaustion */           \
-  X(grant_reforwards) /* Alg. 4 grants re-forwarded after ack loss */
+  X(grant_reforwards) /* Alg. 4 grants re-forwarded after ack loss */          \
+  X(register_refusals) /* ownership registrations the home node refused */
 
 enum class Counter : std::size_t {
 #define HYFLOW_COUNTER_ENUMERATOR(name) name,

@@ -28,6 +28,14 @@ net::RequestCall Node::request(NodeId to, net::Payload payload) {
   return net::RequestCall(&pending_, std::move(call), id, to, std::move(payload));
 }
 
+std::uint64_t Node::send_request(NodeId to, net::Payload payload) {
+  net::Message m = envelope(to, std::move(payload));
+  m.msg_id = network_.allocate_msg_id();
+  const std::uint64_t id = m.msg_id;
+  network_.send(std::move(m));
+  return id;
+}
+
 void Node::post(NodeId to, net::Payload payload) {
   network_.send(envelope(to, std::move(payload)));
 }
@@ -60,7 +68,14 @@ void Node::resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
 void Node::handle_message(net::Message msg) {
   clock_.advance_to(msg.sender_clock);  // Lamport receive rule
   if (msg.reply_to != 0) {
-    if (!pending_.deliver(msg)) runtime_.handle_orphan_reply(msg);
+    if (pending_.deliver(msg)) return;
+    // No call awaits it: the reply to a hand-off the owner side sent, or
+    // an orphan.
+    if (std::holds_alternative<net::CommitResponse>(msg.payload)) {
+      owner_.handoff_reply(msg);
+    } else {
+      runtime_.handle_orphan_reply(msg);
+    }
     return;
   }
   const auto seen = reply_cache_.admit(msg.msg_id);

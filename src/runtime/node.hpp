@@ -2,8 +2,9 @@
 // and the TFA requester engine, glued to the network through the Comm facade.
 //
 // Message flow: the Network's dispatcher calls handle_message(); replies are
-// routed to the node's pending calls (orphans trigger the NotInterested
-// protocol), requests go to the OwnerCore's handlers. Worker threads run
+// routed to the node's pending calls, a hand-off reply that no call awaits
+// goes to the OwnerCore (other orphans trigger the NotInterested protocol),
+// and requests go to the OwnerCore's handlers. Worker threads run
 // transactions through `runtime().run(...)`.
 #pragma once
 
@@ -36,6 +37,7 @@ class Node final : public net::Comm {
   NodeId self() const override { return id_; }
   std::uint32_t cluster_size() const override { return network_.topology().node_count(); }
   net::RequestCall request(NodeId to, net::Payload payload) override;
+  std::uint64_t send_request(NodeId to, net::Payload payload) override;
   void post(NodeId to, net::Payload payload) override;
   void reply(const net::Message& request, net::Payload payload) override;
   void reply_routed(NodeId to, std::uint64_t reply_to, net::Payload payload) override;

@@ -16,6 +16,8 @@ struct NodeReport {
   MetricsSnapshot metrics;
   std::size_t owned_objects = 0;
   std::size_t queued_requesters = 0;
+  std::size_t locked_slots = 0;
+  std::size_t pending_handoffs = 0;
   std::uint64_t clock = 0;
 };
 
@@ -27,6 +29,11 @@ struct ClusterReport {
   std::uint64_t object_payloads = 0;
   std::uint64_t dropped_on_stop = 0;
   std::size_t total_objects = 0;
+  // The quiesce audit, summed over the nodes: requesters still parked,
+  // slots still locked and hand-offs still pending.
+  std::size_t queued_requesters = 0;
+  std::size_t locked_slots = 0;
+  std::size_t pending_handoffs = 0;
   // Injected-fault totals (all zero when fault injection is off).
   std::uint64_t faults_dropped = 0;
   std::uint64_t faults_duplicated = 0;

@@ -38,8 +38,41 @@ void OwnerCore::handle(const net::Message& msg) {
   HYFLOW_WARN("unhandled request payload: ", net::payload_name(msg.payload));
 }
 
+void OwnerCore::handoff_reply(const net::Message& reply) {
+  MutexLock lk(mu_);
+  const auto it = handoffs_.find(reply.reply_to);
+  if (it == handoffs_.end()) return;
+  const ObjectId oid = it->second.req.oid;
+  handoffs_.erase(it);
+  // Alg. 4: the node invoking the committed transaction receives the
+  // requester lists.
+  scheduler_.absorb_queue(oid, std::get<net::CommitResponse>(reply.payload).queue);
+  serve_waiters(oid);
+}
+
 void OwnerCore::sweep(SimTime now) {
   MutexLock lk(mu_);
+  // The hand-off must survive message loss: without it the old owner's copy
+  // stays locked and its parked requesters are stranded. The old owner's
+  // reply cache answers a resent CommitRequest with the queue captured at
+  // the real hand-over, never an empty one.
+  const net::RetryPolicy policy = comm_.retry_policy().scaled(3);
+  for (auto it = handoffs_.begin(); it != handoffs_.end();) {
+    PendingHandoff& h = it->second;
+    if (h.deadline > now) {
+      ++it;
+    } else if (h.attempt == static_cast<std::uint32_t>(policy.max_retries)) {
+      HYFLOW_WARN("commit hand-off of object ", h.req.oid.value, " to node ", comm_.self(),
+                  " unacknowledged; old owner copy stays locked");
+      it = handoffs_.erase(it);
+    } else {
+      ++h.attempt;
+      comm_.resend(h.to, it->first, h.attempt, h.req);
+      h.deadline = now + policy.timeout_for(static_cast<int>(h.attempt), it->first);
+      ++it;
+    }
+  }
+
   std::vector<PendingGrant> expired;
   for (auto it = grants_.begin(); it != grants_.end();) {
     if (it->second.deadline <= now) {
@@ -239,12 +272,21 @@ void OwnerCore::install(ObjectSnapshot object, Version version) {
   store_.install(std::move(object), version);
 }
 
-void OwnerCore::absorb(ObjectId oid, std::vector<net::QueuedRequester> queue) {
+void OwnerCore::commit_handoff(NodeId old_owner, TxnId txid, ObjectSnapshot object,
+                               Version version) {
   MutexLock lk(mu_);
-  // Alg. 4: the node invoking the committed transaction receives the
-  // requester lists.
-  scheduler_.absorb_queue(oid, std::move(queue));
-  serve_waiters(oid);
+  net::CommitRequest req;
+  req.oid = object->id();
+  req.txid = txid;
+  req.new_version = version;
+  req.new_owner = comm_.self();
+  // Install first: the directory already points here, so the new copy must
+  // be servable before the old owner's slot goes away. The reply needs this
+  // mutex, so it cannot overtake the record.
+  store_.install(std::move(object), version);
+  const std::uint64_t id = comm_.send_request(old_owner, req);
+  handoffs_[id] =
+      PendingHandoff{old_owner, req, 0, sim_now() + comm_.retry_policy().timeout_for(0, id)};
 }
 
 // ---------------------------------------------------------------------------
@@ -275,6 +317,19 @@ std::size_t OwnerCore::owned_objects() {
 std::size_t OwnerCore::queued_requesters() {
   MutexLock lk(mu_);
   return scheduler_.total_queued();
+}
+
+std::size_t OwnerCore::locked_slots() {
+  MutexLock lk(mu_);
+  std::size_t locked = 0;
+  for (const ObjectId oid : store_.owned_ids())
+    if (store_.get(oid)->locked_by.valid()) ++locked;
+  return locked;
+}
+
+std::size_t OwnerCore::pending_handoffs() {
+  MutexLock lk(mu_);
+  return handoffs_.size();
 }
 
 // ---------------------------------------------------------------------------

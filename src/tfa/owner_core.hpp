@@ -3,17 +3,19 @@
 // every step that reads or changes it.
 //
 // OwnerCore owns the node's object store, directory shard, scheduler,
-// contention tracker, owner hints, outstanding Alg. 4 grants and lock-hold
-// estimate, all behind one owner mutex. Each public method is one owner step:
-// it holds the mutex from its first read to its last state change and sends
-// its replies, grants and posts through net::Comm under that hold. No step
-// waits for a reply, so a step never blocks on another node.
+// contention tracker, owner hints, outstanding Alg. 4 grants and hand-offs
+// and lock-hold estimate, all behind one owner mutex. Each public method is
+// one owner step: it holds the mutex from its first read to its last state
+// change and sends its requests, replies, grants and posts through net::Comm
+// under that hold. No step waits for a reply, so a step never blocks on
+// another node.
 //
-// The steps are the nine request handlers (handle), the grant sweep, the
-// requester path's local steps on objects this node owns (a local lock,
-// validation or release runs the same code as the handler of the matching
-// request) and the placement and audit calls of the cluster and the
-// reports. docs/CONCURRENCY.md states the rule.
+// The steps are the nine request handlers (handle), the hand-off reply, the
+// sweep (grant recovery and hand-off resends), the requester path's local
+// steps (a local lock, validation or release runs the same code as the
+// handler of the matching request; a commit installs its new copies here)
+// and the placement and audit calls of the cluster and the reports.
+// docs/CONCURRENCY.md states the rule.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +53,15 @@ class OwnerCore {
   // NotInterested or GrantAck.
   void handle(const net::Message& msg) EXCLUDES(mu_);
 
+  // The old owner's reply to a hand-off this node sent (commit_handoff):
+  // absorbs the requester queue it returns and serves it. A replayed or
+  // duplicated reply finds no record and changes nothing.
+  void handoff_reply(const net::Message& reply) EXCLUDES(mu_);
+
   // Grant-loss recovery: forgets every Alg. 4 grant whose GrantAck is overdue
-  // at `now` and serves the object's queue again.
+  // at `now` and serves the object's queue again. Hand-off recovery: resends
+  // every overdue CommitRequest under its msg_id, on the schedule of
+  // retry_policy().scaled(3), and drops the record once that budget is spent.
   void sweep(SimTime now) EXCLUDES(mu_);
 
   // ---- the requester path's local steps ----
@@ -75,12 +84,13 @@ class OwnerCore {
   // releases the lock, and serves the queue.
   void commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object, Version version)
       EXCLUDES(mu_);
-  // This node now owns `object`: initial placement, or a commit that moved
-  // the object here.
+  // Initial placement: this node now owns `object`.
   void install(ObjectSnapshot object, Version version) EXCLUDES(mu_);
-  // Takes over the queue a hand-off reply returned (empty if the reply was
-  // lost) and serves it.
-  void absorb(ObjectId oid, std::vector<net::QueuedRequester> queue) EXCLUDES(mu_);
+  // A commit that moves `object` here from `old_owner` (Alg. 4): installs
+  // the new copy, sends the old owner its CommitRequest and records it until
+  // the reply brings the old owner's requester queue (handoff_reply).
+  void commit_handoff(NodeId old_owner, TxnId txid, ObjectSnapshot object, Version version)
+      EXCLUDES(mu_);
 
   // ---- placement and audits ----
 
@@ -91,6 +101,10 @@ class OwnerCore {
   ObjectSnapshot owned_copy(ObjectId oid) EXCLUDES(mu_);
   std::size_t owned_objects() EXCLUDES(mu_);
   std::size_t queued_requesters() EXCLUDES(mu_);
+  // Owned slots still locked by a commit.
+  std::size_t locked_slots() EXCLUDES(mu_);
+  // Hand-offs whose reply has not arrived yet.
+  std::size_t pending_handoffs() EXCLUDES(mu_);
 
   // ---- unlocked views, for tests and reads after the cluster quiesced ----
   dsm::ObjectStore& store() NO_THREAD_SAFETY_ANALYSIS { return store_; }
@@ -145,6 +159,16 @@ class OwnerCore {
     SimTime deadline = 0;
   };
   std::map<std::pair<std::uint64_t, std::uint64_t>, PendingGrant> grants_ GUARDED_BY(mu_);
+
+  // Alg. 4 hand-offs awaiting the old owner's reply, keyed by the
+  // CommitRequest's msg_id.
+  struct PendingHandoff {
+    NodeId to;
+    net::CommitRequest req;
+    std::uint32_t attempt = 0;  // resends so far
+    SimTime deadline = 0;
+  };
+  std::map<std::uint64_t, PendingHandoff> handoffs_ GUARDED_BY(mu_);
 };
 
 }  // namespace hyflow::tfa

@@ -407,7 +407,13 @@ void TfaRuntime::commit_root(Transaction& root) {
     // clocks), then the locks are released and the commit aborts.
     const net::RetryPolicy policy = comm_.retry_policy().scaled(3);
     for (std::size_t i = 0; i < calls.size(); ++i) {
-      if (net::reliable_wait(comm_, calls[i], policy)) continue;
+      if (const auto reply = net::reliable_wait(comm_, calls[i], policy)) {
+        // The home node kept a newer registration: counted, and the commit
+        // still goes on.
+        if (!std::get<net::RegisterOwnerResponse>(reply->payload).ok)
+          metrics_.add(Counter::register_refusals);
+        continue;
+      }
       const AbortCause cause = empty_wait_cause(calls[i]);
       if (cause == AbortCause::kWatchdog) {
         HYFLOW_WARN("ownership registration of object ", writes[i].oid.value,
@@ -532,50 +538,21 @@ void TfaRuntime::release_lock(ObjectId oid, TxnId txid, NodeId owner) {
   }
 }
 
-void TfaRuntime::publish_write_set(Transaction& root, std::vector<WriteTarget>& writes,
+void TfaRuntime::publish_write_set(Transaction& root, const std::vector<WriteTarget>& writes,
                                    std::uint64_t commit_clock) {
   // Past this point the commit is decided: every lock is held, the read set
-  // validated, and ownership registered. Publishing must complete for all
-  // objects even if the cluster starts shutting down mid-way — a torn
-  // publish would break atomicity (e.g. Bank's conservation invariant).
+  // validated, and ownership registered. Nothing here waits: an object that
+  // moves here is installed and its hand-off sent in one owner step, and the
+  // old owner's reply is absorbed when it lands (Alg. 4).
   const TxnId txid = root.id();
   const Version version{commit_clock, comm_.self()};
-  std::vector<std::optional<net::RequestCall>> calls(writes.size());
-  for (std::size_t i = 0; i < writes.size(); ++i) {
-    WriteTarget& w = writes[i];
+  for (const WriteTarget& w : writes) {
     ObjectSnapshot snapshot = std::move(w.entry->working);
     if (w.owner == comm_.self()) {
       owner_.commit_in_place(w.oid, txid, std::move(snapshot), version);
     } else {
-      // Install locally first — the directory already points here, so the
-      // new copy must be servable before the old owner's slot goes away.
-      owner_.install(snapshot, version);
-      net::CommitRequest req;
-      req.oid = w.oid;
-      req.txid = txid;
-      req.new_version = version;
-      req.new_owner = comm_.self();
-      calls[i].emplace(comm_.request(w.owner, req));
+      owner_.commit_handoff(w.owner, txid, std::move(snapshot), version);
     }
-  }
-  for (std::size_t i = 0; i < writes.size(); ++i) {
-    if (!calls[i]) continue;
-    // The hand-off must survive message loss: without it the old owner's
-    // copy stays locked and its parked requesters are stranded. The
-    // receiver's reply cache preserves the extracted queue, so a retried
-    // CommitRequest is answered with the queue captured at the real
-    // hand-over, never an empty one.
-    auto reply = net::reliable_wait(comm_, *calls[i], comm_.retry_policy().scaled(3));
-    if (!reply && !calls[i]->closed()) {
-      HYFLOW_WARN("commit hand-off of object ", writes[i].oid.value, " to node ",
-                  comm_.self(), " unacknowledged; old owner copy stays locked");
-    }
-    // The commit stands either way: locks were held, reads validated and
-    // ownership registered before publication began. Inherit the previous
-    // owner's scheduling queue and serve it.
-    owner_.absorb(writes[i].oid,
-                  reply ? std::move(std::get<net::CommitResponse>(reply->payload).queue)
-                        : std::vector<net::QueuedRequester>{});
   }
 }
 

@@ -11,8 +11,10 @@
 //
 // The commit protocol's validation window *creates* the conflicts the
 // scheduler decides: lock write set -> validate read set -> register
-// ownership at the home directory -> transfer/install the new copies ->
-// serve parked requesters with the fresh object (Alg. 4).
+// ownership at the home directory -> install the new copies and send each
+// old owner its hand-off. The commit returns there; the owner side absorbs
+// each old owner's requester queue when its reply lands and serves it with
+// the fresh object (Alg. 4).
 //
 // The owner side lives in tfa::OwnerCore. Where an object is owned by this
 // node, the requester path calls the OwnerCore step that the matching
@@ -153,7 +155,9 @@ class TfaRuntime {
   // Releases a commit lock at `owner`: a local owner step, or a reliable
   // AbortUnlock (a lost release would wedge the object at the owner).
   void release_lock(ObjectId oid, TxnId txid, NodeId owner);
-  void publish_write_set(Transaction& root, std::vector<WriteTarget>& writes,
+  // Installs the new copies: in place, or by a hand-off step that sends the
+  // old owner its CommitRequest without waiting for the reply.
+  void publish_write_set(Transaction& root, const std::vector<WriteTarget>& writes,
                          std::uint64_t commit_clock);
 
   TfaConfig cfg_;

@@ -188,6 +188,10 @@ void run_bank_chaos(const net::FaultPlan& plan, SimDuration warmup, SimDuration 
   const auto result = future.get();
   EXPECT_GT(result.delta.commits_root, 0u) << "no progress under faults";
   EXPECT_TRUE(result.verified) << "conservation violated under faults";
+  // The sweep resent every lost CommitRequest or reply until the hand-off
+  // completed, and the old owner evicted its locked copy.
+  EXPECT_EQ(result.pending_handoffs, 0u) << "a hand-off outlived the drain";
+  EXPECT_EQ(result.locked_slots, 0u) << "a lock outlived its commit";
 }
 
 TEST(Chaos, BankSurvivesDropAndDuplication) {

@@ -191,6 +191,9 @@ TEST(FindOwner, ResolvesThroughDirectoryAndTracksMoves) {
   auto r1 = cluster.execute(1, 2, [&](tfa::Txn& tx) { tx.write<Box>(ObjectId{70}).value = 2; });
   EXPECT_TRUE(r1.committed);
   EXPECT_TRUE(cluster.node(1).store().owns(ObjectId{70}));
+  // The old owner evicts its copy when the hand-off reaches it, after the
+  // commit has returned.
+  cluster.network().wait_idle();
   EXPECT_FALSE(cluster.node(2).store().owns(ObjectId{70}));
 
   // Directory agrees.

@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "dsm/directory.hpp"
 #include "runtime/cluster.hpp"
 
 namespace hyflow::runtime {
@@ -352,6 +353,61 @@ TEST_F(NodePair, StaleOwnerHintRetriesViaWrongOwner) {
   EXPECT_GT(after.wrong_owner_retries, before.wrong_owner_retries)
       << "the stale hint should have forced at least one wrong-owner retry";
   EXPECT_EQ(object_cast<Box>(*cluster->committed_copy(oid)).value, 16);
+}
+
+TEST_F(NodePair, CommitReturnsBeforeTheHandoffCompletes) {
+  // A commit that moves an object sends the old owner its CommitRequest and
+  // returns: the old owner keeps its locked copy until the request lands,
+  // and the new owner absorbs the old owner's queue when the reply lands.
+  // Every link takes 50 ms, so both are still on the wire when the commit
+  // returns; the long first timeout keeps resends out of the picture.
+  ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.workers_per_node = 0;
+  cfg.topology.min_delay = sim_ms(50);
+  cfg.topology.max_delay = sim_ms(50);
+  cfg.rpc.base_timeout = sim_ms(1000);
+  cfg.rpc.max_timeout = sim_ms(1000);
+  Cluster c(cfg);
+  const ObjectId oid{63};
+  c.create_object(std::make_unique<Box>(oid, 1), 0);
+
+  ASSERT_TRUE(c.execute(1, 1, [&](tfa::Txn& tx) { tx.write<Box>(oid).value = 2; }).committed);
+  EXPECT_NE(c.node(0).owner().owned_copy(oid), nullptr);
+  EXPECT_EQ(c.node(0).owner().locked_slots(), 1u);
+  EXPECT_EQ(c.node(1).owner().pending_handoffs(), 1u);
+
+  c.network().wait_idle();
+  EXPECT_EQ(c.node(0).owner().owned_objects(), 0u);
+  const auto copy = c.node(1).owner().owned_copy(oid);
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(object_cast<Box>(*copy).value, 2);
+  EXPECT_EQ(c.node(1).store().get(oid)->version.writer, 1u);
+  EXPECT_EQ(c.pending_handoffs(), 0u);
+  c.shutdown();
+}
+
+TEST_F(NodePair, RefusedRegistrationIsCounted) {
+  // The home node keeps the registration with the highest version clock. A
+  // commit whose clock is below it is refused there; the committer counts
+  // the refusal.
+  const ObjectId oid{64};
+  cluster->create_object(std::make_unique<Box>(oid, 1), 2);
+  net::RegisterOwnerRequest newer;
+  newer.oid = oid;
+  newer.new_owner = 2;
+  newer.version_clock = 1000;
+  auto call = cluster->node(0).request(dsm::home_node(oid, cluster->size()), newer);
+  const auto reply = call.wait_for(sim_ms(500));
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_TRUE(std::get<net::RegisterOwnerResponse>(reply->payload).ok);
+
+  ASSERT_TRUE(cluster->execute(1, 1, [&](tfa::Txn& tx) {
+    tx.write<Box>(oid).value = 2;
+  }).committed);
+  ASSERT_LT(cluster->node(1).clock().read(), 1000u);
+  EXPECT_EQ(cluster->node(1).metrics().snapshot().register_refusals, 1u);
+  EXPECT_EQ(cluster->total_metrics().register_refusals, 1u);
 }
 
 TEST_F(NodePair, DuplicateRequestIsAnsweredFromTheReplyCache) {

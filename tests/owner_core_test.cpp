@@ -1,7 +1,8 @@
 // OwnerCore without a network: a recording net::Comm captures every message
 // an owner step sends, so each test checks exactly what one step put on the
 // wire — the grant of a free object, the RTS park and the Alg. 4 hand-off,
-// grant-loss recovery, withdrawal forwarding and the lock verdict.
+// grant-loss recovery, the committer's hand-off and its resends, withdrawal
+// forwarding and the lock verdict.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -23,15 +24,17 @@ class Box : public TxObject<Box> {
 
 // One message an owner step sent.
 struct Sent {
-  enum class Kind { kReply, kRoutedReply, kPost };
+  enum class Kind { kReply, kRoutedReply, kPost, kRequest, kResend };
   Kind kind;
   NodeId to;
-  std::uint64_t reply_to;  // msg_id of the answered request; 0 for a post
+  std::uint64_t reply_to;  // msg_id of the answered request; 0 otherwise
   net::Payload payload;
+  std::uint64_t msg_id = 0;   // a request's or resend's own id
+  std::uint32_t attempt = 0;  // a resend's ordinal
 };
 
 // A net::Comm that records instead of sending. Owner steps never wait for a
-// reply, so a request or a resend fails the test.
+// reply, so a request that opens a pending call fails the test.
 class RecordingComm final : public net::Comm {
  public:
   RecordingComm(NodeId self, std::uint32_t size) : self_(self), size_(size) {}
@@ -43,6 +46,11 @@ class RecordingComm final : public net::Comm {
     const std::uint64_t id = ++last_id_;
     return net::RequestCall(&pending_, pending_.open(id), id, to, std::move(payload));
   }
+  std::uint64_t send_request(NodeId to, net::Payload payload) override {
+    const std::uint64_t id = ++last_id_;
+    sent_.push_back({Sent::Kind::kRequest, to, 0, std::move(payload), id});
+    return id;
+  }
   void post(NodeId to, net::Payload payload) override {
     sent_.push_back({Sent::Kind::kPost, to, 0, std::move(payload)});
   }
@@ -52,8 +60,9 @@ class RecordingComm final : public net::Comm {
   void reply_routed(NodeId to, std::uint64_t reply_to, net::Payload payload) override {
     sent_.push_back({Sent::Kind::kRoutedReply, to, reply_to, std::move(payload)});
   }
-  void resend(NodeId, std::uint64_t, std::uint32_t, net::Payload) override {
-    ADD_FAILURE() << "an owner step re-sent a request";
+  void resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
+              net::Payload payload) override {
+    sent_.push_back({Sent::Kind::kResend, to, 0, std::move(payload), msg_id, attempt});
   }
   const net::RetryPolicy& retry_policy() const override { return policy_; }
 
@@ -242,6 +251,128 @@ TEST_F(OwnerCore, WithdrawalAtANonOwnerFollowsTheHintUpToTheHopBound) {
   owner.handle(request(2, 0, net::NotInterested{kOid, second, 2}));
   EXPECT_TRUE(comm.take().empty());
   EXPECT_EQ(metrics.snapshot().not_interested, 2u);
+}
+
+// ---- the committer's side of the Alg. 4 hand-off ----
+
+// Node 0 commits a write to an object that node 1 owned.
+struct OwnerCoreHandoff : OwnerCore {
+  static constexpr ObjectId kMoved{43};
+  static constexpr Version kCommitted{5, 0};
+
+  // Runs the hand-off step and returns the CommitRequest's msg_id.
+  std::uint64_t hand_off() {
+    owner.commit_handoff(/*old_owner=*/1, committer, moved, kCommitted);
+    const auto sent = comm.take();
+    EXPECT_EQ(sent.size(), 1u);
+    return sent.empty() ? 0 : sent[0].msg_id;
+  }
+
+  // The old owner's reply to request `msg_id`, returning `queue`.
+  static net::Message reply(std::uint64_t msg_id, std::vector<net::QueuedRequester> queue) {
+    net::Message m;
+    m.from = 1;
+    m.to = 0;
+    m.reply_to = msg_id;
+    m.payload = net::CommitResponse{kMoved, std::move(queue)};
+    return m;
+  }
+
+  static net::QueuedRequester parked(NodeId at, std::uint64_t reply_msg_id, TxnId txid) {
+    net::QueuedRequester q;
+    q.address = at;
+    q.txid = txid;
+    q.reply_msg_id = reply_msg_id;
+    q.mode = net::AccessMode::kWrite;
+    return q;
+  }
+
+  const ObjectSnapshot moved = std::make_shared<Box>(kMoved, 8);
+};
+
+TEST_F(OwnerCoreHandoff, InstallsTheCopyAndSendsOneCommitRequest) {
+  owner.commit_handoff(/*old_owner=*/1, committer, moved, kCommitted);
+  const auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kRequest);
+  EXPECT_EQ(sent[0].to, 1u);
+  const auto& req = std::get<net::CommitRequest>(sent[0].payload);
+  EXPECT_EQ(req.oid, kMoved);
+  EXPECT_EQ(req.txid, committer);
+  EXPECT_EQ(req.new_version, kCommitted);
+  EXPECT_EQ(req.new_owner, 0u);
+  EXPECT_EQ(owner.owned_copy(kMoved), moved);
+  EXPECT_FALSE(owner.store().get(kMoved)->locked_by.valid());
+  EXPECT_EQ(owner.pending_handoffs(), 1u);
+}
+
+TEST_F(OwnerCoreHandoff, SweepResendsAnOverdueRequestUnderItsId) {
+  const SimTime sent_at = sim_now();
+  const std::uint64_t id = hand_off();
+  owner.sweep(sent_at);  // not overdue yet
+  EXPECT_TRUE(comm.take().empty());
+
+  owner.sweep(sent_at + sim_ms(1000));
+  const auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kResend);
+  EXPECT_EQ(sent[0].to, 1u);
+  EXPECT_EQ(sent[0].msg_id, id);
+  EXPECT_EQ(sent[0].attempt, 1u);
+  EXPECT_EQ(std::get<net::CommitRequest>(sent[0].payload).oid, kMoved);
+  EXPECT_EQ(owner.pending_handoffs(), 1u);
+}
+
+TEST_F(OwnerCoreHandoff, ReplyAbsorbsTheQueueAndGrantsItsHead) {
+  const std::uint64_t id = hand_off();
+  owner.handoff_reply(reply(id, {parked(1, 11, first), parked(2, 12, second)}));
+  const auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kRoutedReply);
+  EXPECT_EQ(sent[0].to, 1u);
+  EXPECT_EQ(sent[0].reply_to, 11u);
+  const auto& grant = object_response(sent[0]);
+  EXPECT_EQ(grant.txid, first);
+  EXPECT_EQ(grant.object, moved);
+  EXPECT_EQ(grant.version, kCommitted);
+  EXPECT_TRUE(grant.handoff);
+  EXPECT_EQ(owner.queued_requesters(), 1u);  // the second waits its turn
+  EXPECT_EQ(owner.pending_handoffs(), 0u);
+}
+
+TEST_F(OwnerCoreHandoff, ReplayedReplySendsNothing) {
+  const std::uint64_t id = hand_off();
+  owner.handoff_reply(reply(id, {parked(1, 11, first)}));
+  ASSERT_EQ(comm.take().size(), 1u);
+  ASSERT_EQ(owner.queued_requesters(), 0u);
+
+  // A duplicate, or the replay a resend drew from the old owner's reply
+  // cache, finds no record.
+  owner.handoff_reply(reply(id, {parked(1, 11, first)}));
+  EXPECT_TRUE(comm.take().empty());
+  EXPECT_EQ(owner.queued_requesters(), 0u);
+}
+
+TEST_F(OwnerCoreHandoff, ExhaustedBudgetDropsTheRecord) {
+  const std::uint64_t id = hand_off();
+  const int resends = comm.retry_policy().scaled(3).max_retries;
+  SimTime now = sim_now();
+  for (int attempt = 1; attempt <= resends; ++attempt) {
+    now += sim_ms(1000);
+    owner.sweep(now);
+    const auto sent = comm.take();
+    ASSERT_EQ(sent.size(), 1u);
+    EXPECT_EQ(sent[0].kind, Sent::Kind::kResend);
+    EXPECT_EQ(sent[0].msg_id, id);
+    EXPECT_EQ(sent[0].attempt, static_cast<std::uint32_t>(attempt));
+  }
+  owner.sweep(now + sim_ms(1000));
+  EXPECT_TRUE(comm.take().empty());
+  EXPECT_EQ(owner.pending_handoffs(), 0u);
+  // A reply after the drop changes nothing either.
+  owner.handoff_reply(reply(id, {parked(1, 11, first)}));
+  EXPECT_TRUE(comm.take().empty());
+  EXPECT_EQ(owner.queued_requesters(), 0u);
 }
 
 TEST_F(OwnerCore, StaleLockRequestReportsTheVersionMismatch) {

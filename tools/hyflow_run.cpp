@@ -1,6 +1,8 @@
 // hyflow_run — the repository's general-purpose experiment driver: run any
 // workload on any scheduler with every knob exposed, and print the
-// experiment summary plus a per-node cluster report.
+// experiment summary plus a per-node cluster report. Exits 1 when the
+// workload's invariant audit fails, or when a slot is still locked or a
+// hand-off still pending after the cluster quiesced.
 //
 //   hyflow_run --workload=bank --scheduler=rts --nodes=20 --read-ratio=0.1
 //              --duration-ms=500 [--report] [--latency]
@@ -80,6 +82,10 @@ int main(int argc, char** argv) {
                                        static_cast<double>(delta.commits_root)
                                  : 0.0);
   std::printf("invariants          %10s\n", result.verified ? "verified" : "VIOLATED");
+  // After the drain no hand-off may still wait for its reply, and no slot
+  // may stay locked: either would mean a lost message was never recovered.
+  const bool quiesced = result.pending_handoffs == 0 && result.locked_slots == 0;
+  std::printf("quiesce             %10s\n", quiesced ? "clean" : "UNCLEAN");
 
   if (cli.get_bool("latency", false)) {
     // The measurement window's commits, the histogram behind p50/p99 in
@@ -92,5 +98,5 @@ int main(int argc, char** argv) {
                 static_cast<double>(lat.max()) / 1e6);
   }
   if (cli.get_bool("report", false)) std::printf("\n%s", result.report.to_string().c_str());
-  return result.verified ? 0 : 1;
+  return result.verified && quiesced ? 0 : 1;
 }
