@@ -163,7 +163,7 @@ class OwnerCore {
   // Alg. 4 hand-offs awaiting the old owner's reply, keyed by the
   // CommitRequest's msg_id.
   struct PendingHandoff {
-    NodeId to;
+    NodeId to = kInvalidNode;
     net::CommitRequest req;
     std::uint32_t attempt = 0;  // resends so far
     SimTime deadline = 0;
