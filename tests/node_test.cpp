@@ -359,8 +359,9 @@ TEST_F(NodePair, CommitReturnsBeforeTheHandoffCompletes) {
   // A commit that moves an object sends the old owner its CommitRequest and
   // returns: the old owner keeps its locked copy until the request lands,
   // and the new owner absorbs the old owner's queue when the reply lands.
-  // Every link takes 50 ms, so both are still on the wire when the commit
-  // returns; the long first timeout keeps resends out of the picture.
+  // Every link takes 50 ms, so the CommitRequest is still on the wire when
+  // the commit returns; the long first timeout keeps resends out of the
+  // picture.
   ClusterConfig cfg;
   cfg.nodes = 3;
   cfg.workers_per_node = 0;
