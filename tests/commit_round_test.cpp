@@ -1,0 +1,325 @@
+// The requester side of TFA's commit without a network: a scripted net::Comm
+// answers each request at once from the test's script, or stays silent, and
+// records everything node 0 sends, while a real OwnerCore runs node 0's local
+// steps. Each test pins the order, destination and payload of every message
+// one root transaction sends through its commit rounds (lock the write set,
+// validate the reads, register ownership, hand off) and how it aborts. The
+// order pinned is the order of sends, not of concurrent arrivals.
+//
+// Node 0 of 4. The root writes object 9 (owned here, home node 0), 11 (at
+// node 1, home 1) and 13 (at node 2, home 3), and it reads 12 (at node 2).
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "tfa/owner_core.hpp"
+#include "tfa/tfa_runtime.hpp"
+
+namespace hyflow {
+namespace {
+
+using dsm::ObjectStore;
+using tfa::AbortCause;
+
+class Box : public TxObject<Box> {
+ public:
+  explicit Box(ObjectId id, int v = 0) : TxObject(id), value(v) {}
+  int value;
+};
+
+constexpr ObjectId kLocal{9};
+constexpr ObjectId kAtOne{11};
+constexpr ObjectId kRead{12};
+constexpr ObjectId kAtTwo{13};
+constexpr std::uint64_t kReadClock = 3;   // every copy's version clock
+constexpr std::uint64_t kStartClock = 5;  // node 0's clock when the root starts
+constexpr std::uint64_t kCommitClock = kStartClock + 1;
+
+// One message node 0 sent.
+struct Sent {
+  enum class Kind { kRequest, kSendRequest, kResend, kPost };
+  Kind kind;
+  NodeId to;
+  net::Payload payload;
+};
+
+// The reply to a request sent to `to`, or nullopt to stay silent.
+using Script = std::function<std::optional<net::Payload>(NodeId to, const net::Payload&)>;
+
+// A net::Comm whose peers answer at once from `script`. It retries after
+// 1 ms, once.
+class ScriptedComm final : public net::Comm {
+ public:
+  ScriptedComm() {
+    policy_.base_timeout = sim_ms(1);
+    policy_.max_timeout = sim_ms(1);
+    policy_.max_retries = 1;
+  }
+
+  NodeId self() const override { return 0; }
+  std::uint32_t cluster_size() const override { return 4; }
+  net::RequestCall request(NodeId to, net::Payload payload) override {
+    const std::uint64_t id = ++last_id_;
+    auto call = pending_.open(id);
+    sent_.push_back({Sent::Kind::kRequest, to, payload});
+    if (auto answer = script(to, payload)) {
+      net::Message reply;
+      reply.from = to;
+      reply.to = 0;
+      reply.reply_to = id;
+      reply.payload = std::move(*answer);
+      pending_.deliver(std::move(reply));
+    }
+    return net::RequestCall(&pending_, std::move(call), id, to, std::move(payload));
+  }
+  std::uint64_t send_request(NodeId to, net::Payload payload) override {
+    sent_.push_back({Sent::Kind::kSendRequest, to, std::move(payload)});
+    return ++last_id_;
+  }
+  void post(NodeId to, net::Payload payload) override {
+    sent_.push_back({Sent::Kind::kPost, to, std::move(payload)});
+  }
+  void reply(const net::Message&, net::Payload) override {
+    ADD_FAILURE() << "the requester side replied to a request";
+  }
+  void reply_routed(NodeId, std::uint64_t, net::Payload) override {
+    ADD_FAILURE() << "the requester side routed a reply";
+  }
+  void resend(NodeId to, std::uint64_t, std::uint32_t, net::Payload payload) override {
+    sent_.push_back({Sent::Kind::kResend, to, std::move(payload)});
+  }
+  const net::RetryPolicy& retry_policy() const override { return policy_; }
+
+  // Everything sent so far, one message per word: kind prefix, payload with
+  // its key fields, and destination, e.g. `Lock(11@3)>1`.
+  std::string trace() const {
+    std::string out;
+    for (const Sent& s : sent_) {
+      if (!out.empty()) out += ' ';
+      if (s.kind == Sent::Kind::kSendRequest) out += "async ";
+      if (s.kind == Sent::Kind::kResend) out += "resend ";
+      if (s.kind == Sent::Kind::kPost) out += "post ";
+      out += describe(s.payload) + ">" + std::to_string(s.to);
+    }
+    return out;
+  }
+
+  Script script;
+
+ private:
+  static std::string describe(const net::Payload& p) {
+    const auto n = [](std::uint64_t v) { return std::to_string(v); };
+    if (const auto* r = std::get_if<net::ObjectRequest>(&p))
+      return "Object(" + n(r->oid.value) + ")";
+    if (const auto* r = std::get_if<net::LockRequest>(&p))
+      return "Lock(" + n(r->oid.value) + "@" + n(r->expected_clock) + ")";
+    if (const auto* r = std::get_if<net::ValidateRequest>(&p))
+      return "Validate(" + n(r->oid.value) + "@" + n(r->expected_clock) + ")";
+    if (const auto* r = std::get_if<net::RegisterOwnerRequest>(&p))
+      return "Register(" + n(r->oid.value) + ":" + n(r->new_owner) + "@" +
+             n(r->version_clock) + ")";
+    if (const auto* r = std::get_if<net::FindOwnerRequest>(&p))
+      return "FindOwner(" + n(r->oid.value) + ")";
+    if (const auto* r = std::get_if<net::AbortUnlock>(&p))
+      return "AbortUnlock(" + n(r->oid.value) + ")";
+    if (const auto* r = std::get_if<net::CommitRequest>(&p))
+      return "Commit(" + n(r->oid.value) + "@" + n(r->new_version.clock) + ":" +
+             n(r->new_version.writer) + ")";
+    return net::payload_name(p);
+  }
+
+  net::RetryPolicy policy_;
+  net::PendingCalls pending_;
+  std::uint64_t last_id_ = 0;
+  std::vector<Sent> sent_;
+};
+
+// Every peer's answer when nothing goes wrong: copies at clock 3, granted
+// locks, valid reads, accepted registrations, and object 11 found at node 3.
+std::optional<net::Payload> healthy(NodeId to, const net::Payload& p) {
+  if (const auto* r = std::get_if<net::ObjectRequest>(&p)) {
+    net::ObjectResponse resp;
+    resp.oid = r->oid;
+    resp.txid = r->txid;
+    resp.object = std::make_shared<Box>(r->oid);
+    resp.version = Version{kReadClock, to};
+    return resp;
+  }
+  if (const auto* r = std::get_if<net::LockRequest>(&p))
+    return net::LockResponse{r->oid, ObjectStore::LockResult::kGranted};
+  if (const auto* r = std::get_if<net::ValidateRequest>(&p))
+    return net::ValidateResponse{r->oid, ObjectStore::ValidateResult::kValid};
+  if (const auto* r = std::get_if<net::RegisterOwnerRequest>(&p))
+    return net::RegisterOwnerResponse{r->oid, true};
+  if (const auto* r = std::get_if<net::FindOwnerRequest>(&p))
+    return net::FindOwnerResponse{r->oid, 3, true};
+  if (const auto* r = std::get_if<net::AbortUnlock>(&p)) return net::Ack{r->oid};
+  ADD_FAILURE() << "unscripted request " << net::payload_name(p);
+  return std::nullopt;
+}
+
+struct CommitRound : ::testing::Test {
+  CommitRound()
+      : owner(tfa::TfaConfig{}, core::SchedulerConfig{}, comm, metrics),
+        rt(tfa::TfaConfig{}, comm, owner, stats, clock, metrics) {
+    comm.script = healthy;
+    owner.install(std::make_shared<Box>(kLocal), Version{kReadClock, 0});
+    owner.note_owner(kAtOne, 1);
+    owner.note_owner(kRead, 2);
+    owner.note_owner(kAtTwo, 2);
+    clock.advance_to(kStartClock);
+  }
+
+  // One attempt of the root: write 9, 11 and 13, read 12.
+  tfa::RunResult run_root_once() {
+    return rt.run(
+        1,
+        [](tfa::Txn& tx) {
+          tx.write<Box>(kLocal).value += 1;
+          tx.write<Box>(kAtOne).value += 1;
+          tx.write<Box>(kAtTwo).value += 1;
+          (void)tx.read<Box>(kRead);
+        },
+        [attempts = 0]() mutable { return attempts++ == 0; });
+  }
+
+  std::uint64_t root_aborts(AbortCause cause) const {
+    return metrics.snapshot().aborts_root[static_cast<std::size_t>(cause)];
+  }
+
+  bool locally_locked() {
+    const auto slot = owner.store().get(kLocal);
+    return slot && slot->locked_by.valid();
+  }
+
+  // The opens of run_root_once, before the commit.
+  static constexpr const char* kOpens = "Object(9)>0 Object(11)>1 Object(13)>2 Object(12)>2";
+
+  ScriptedComm comm;
+  runtime::NodeMetrics metrics;
+  tfa::StatsTable stats;
+  tfa::NodeClock clock;
+  tfa::OwnerCore owner;
+  tfa::TfaRuntime rt;
+};
+
+TEST_F(CommitRound, CleanCommitSendsEachRoundTogether) {
+  const auto res = run_root_once();
+  EXPECT_TRUE(res.committed);
+  EXPECT_EQ(res.attempts, 1u);
+  // The local lock is an owner step, not a message. Registration has no
+  // local step: home node 0 gets a request like the others.
+  EXPECT_EQ(comm.trace(), std::string(kOpens) +
+                              " Lock(11@3)>1 Lock(13@3)>2"
+                              " Validate(12@3)>2"
+                              " Register(9:0@6)>0 Register(11:0@6)>1 Register(13:0@6)>3"
+                              " async Commit(11@6:0)>1 async Commit(13@6:0)>2");
+  EXPECT_EQ(clock.read(), kCommitClock);
+  EXPECT_FALSE(locally_locked());
+  EXPECT_EQ(owner.store().get(kLocal)->version, (Version{kCommitClock, 0}));
+  EXPECT_EQ(owner.pending_handoffs(), 2u);
+  EXPECT_EQ(metrics.snapshot().commits_write, 1u);
+}
+
+TEST_F(CommitRound, BusyLockReleasesTheGrantedLocks) {
+  comm.script = [](NodeId to, const net::Payload& p) -> std::optional<net::Payload> {
+    if (const auto* r = std::get_if<net::LockRequest>(&p); r && to == 1)
+      return net::LockResponse{r->oid, ObjectStore::LockResult::kBusy};
+    return healthy(to, p);
+  };
+  const auto res = run_root_once();
+  EXPECT_FALSE(res.committed);
+  EXPECT_EQ(root_aborts(AbortCause::kLockConflict), 1u);
+  // Node 2 granted its lock, so it alone gets an AbortUnlock; node 0's lock
+  // is released in place.
+  EXPECT_EQ(comm.trace(),
+            std::string(kOpens) + " Lock(11@3)>1 Lock(13@3)>2 AbortUnlock(13)>2");
+  EXPECT_FALSE(locally_locked());
+}
+
+TEST_F(CommitRound, StaleReadReleasesEveryLockAndRegistersNothing) {
+  comm.script = [](NodeId to, const net::Payload& p) -> std::optional<net::Payload> {
+    if (const auto* r = std::get_if<net::ValidateRequest>(&p))
+      return net::ValidateResponse{r->oid, ObjectStore::ValidateResult::kInvalid};
+    return healthy(to, p);
+  };
+  const auto res = run_root_once();
+  EXPECT_FALSE(res.committed);
+  EXPECT_EQ(root_aborts(AbortCause::kEarlyValidation), 1u);
+  EXPECT_EQ(comm.trace(), std::string(kOpens) +
+                              " Lock(11@3)>1 Lock(13@3)>2 Validate(12@3)>2"
+                              " AbortUnlock(11)>1 AbortUnlock(13)>2");
+  EXPECT_FALSE(locally_locked());
+}
+
+TEST_F(CommitRound, NotOwnerLockReplyIsResolvedThroughTheDirectory) {
+  comm.script = [](NodeId to, const net::Payload& p) -> std::optional<net::Payload> {
+    if (const auto* r = std::get_if<net::LockRequest>(&p); r && to == 1)
+      return net::LockResponse{r->oid, ObjectStore::LockResult::kNotOwner};
+    return healthy(to, p);
+  };
+  const auto res = run_root_once();
+  EXPECT_TRUE(res.committed);
+  // Object 11's home node 1 names node 3, which gets the second lock
+  // request and the hand-off.
+  EXPECT_EQ(comm.trace(), std::string(kOpens) +
+                              " Lock(11@3)>1 Lock(13@3)>2 FindOwner(11)>1 Lock(11@3)>3"
+                              " Validate(12@3)>2"
+                              " Register(9:0@6)>0 Register(11:0@6)>1 Register(13:0@6)>3"
+                              " async Commit(11@6:0)>3 async Commit(13@6:0)>2");
+  EXPECT_EQ(metrics.snapshot().wrong_owner_retries, 1u);
+}
+
+TEST_F(CommitRound, SilentRegistrationRollsBackThenUnlocks) {
+  // The home nodes never answer a registration that names node 0; they do
+  // answer the rollback, which names the old owners.
+  comm.script = [](NodeId to, const net::Payload& p) -> std::optional<net::Payload> {
+    if (const auto* r = std::get_if<net::RegisterOwnerRequest>(&p); r && r->new_owner == 0)
+      return std::nullopt;
+    return healthy(to, p);
+  };
+  const auto res = run_root_once();
+  EXPECT_FALSE(res.committed);
+  EXPECT_EQ(root_aborts(AbortCause::kWatchdog), 1u);
+  EXPECT_EQ(metrics.snapshot().watchdog_aborts, 1u);
+  // The first registration is resent on the x3 budget (three resends), then
+  // every moved object's registration is undone at the same clock.
+  EXPECT_EQ(comm.trace(), std::string(kOpens) +
+                              " Lock(11@3)>1 Lock(13@3)>2 Validate(12@3)>2"
+                              " Register(9:0@6)>0 Register(11:0@6)>1 Register(13:0@6)>3"
+                              " resend Register(9:0@6)>0 resend Register(9:0@6)>0"
+                              " resend Register(9:0@6)>0"
+                              " Register(11:1@6)>1 Register(13:2@6)>3"
+                              " AbortUnlock(11)>1 AbortUnlock(13)>2");
+  EXPECT_FALSE(locally_locked());
+}
+
+TEST_F(CommitRound, StaleReadInAClosedNestedChildRetriesTheChildAlone) {
+  int validations = 0;
+  comm.script = [&validations](NodeId to,
+                               const net::Payload& p) -> std::optional<net::Payload> {
+    if (const auto* r = std::get_if<net::ValidateRequest>(&p); r && ++validations == 1)
+      return net::ValidateResponse{r->oid, ObjectStore::ValidateResult::kInvalid};
+    return healthy(to, p);
+  };
+  const auto res = rt.run(1, [](tfa::Txn& tx) {
+    tx.nested([](tfa::Txn& child) { (void)child.read<Box>(kRead); });
+  });
+  EXPECT_TRUE(res.committed);
+  EXPECT_EQ(res.attempts, 1u);
+  // A read-only root with one fetched object needs no commit validation.
+  EXPECT_EQ(comm.trace(), "Object(12)>2 Validate(12@3)>2 Object(12)>2 Validate(12@3)>2");
+  const auto counted = metrics.snapshot();
+  EXPECT_EQ(counted.nested_aborts_own_cause, 1u);
+  EXPECT_EQ(counted.nested_aborts_parent_cause, 0u);
+  EXPECT_EQ(counted.nested_commits, 1u);
+  EXPECT_EQ(counted.aborts_total(), 0u);
+}
+
+}  // namespace
+}  // namespace hyflow
