@@ -10,7 +10,6 @@
 
 #include <cstdint>
 
-#include "dsm/object_id.hpp"
 #include "util/time.hpp"
 
 namespace hyflow::tfa {
@@ -49,7 +48,6 @@ constexpr const char* abort_cause_name(AbortCause c) {
 struct AbortException {
   AbortCause cause = AbortCause::kNone;
   int locus_depth = 0;          // 0 = root
-  ObjectId oid = kInvalidObject;
   SimDuration retry_stall = 0;  // TFA+Backoff: stall before restarting
 };
 

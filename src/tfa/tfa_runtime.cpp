@@ -1,6 +1,7 @@
 #include "tfa/tfa_runtime.hpp"
 
 #include <algorithm>
+#include <map>
 #include <thread>
 
 #include "dsm/directory.hpp"
@@ -38,7 +39,7 @@ void Txn::nested(const std::function<void(Txn&)>& body) {
       // Closed-nested commit: early-validate the child's own reads before
       // its effects merge (Turcu & Ravindran's nested TFA). A stale child
       // aborts here — alone — instead of dooming the parent at root commit.
-      rt_.validate_child(child);
+      rt_.validate_chain(child, /*reads_only=*/false);
       child.merge_into_parent();
       level_.root().nested_committed += 1;
       rt_.metrics().add(Counter::nested_commits);
@@ -103,9 +104,9 @@ RunResult TfaRuntime::run(std::uint32_t profile, const std::function<void(Txn&)>
   return res;
 }
 
-void TfaRuntime::abort_txn(AbortCause cause, int locus, ObjectId oid, SimDuration stall) {
+void TfaRuntime::abort_txn(AbortCause cause, int locus, SimDuration stall) {
   if (cause == AbortCause::kWatchdog) metrics_.add(Counter::watchdog_aborts);
-  throw AbortException{cause, locus, oid, stall};
+  throw AbortException{cause, locus, stall};
 }
 
 namespace {
@@ -142,7 +143,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
   Transaction& root = leaf.root();
   for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
     const auto owner = find_owner(oid);
-    if (!owner) abort_txn(AbortCause::kShutdown, 0, oid);
+    if (!owner) abort_txn(AbortCause::kShutdown, 0);
 
     net::ObjectRequest req;
     req.oid = oid;
@@ -153,7 +154,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
 
     auto call = comm_.request(*owner, req);
     const auto reply = net::reliable_wait(comm_, call, comm_.retry_policy());
-    if (!reply) abort_txn(empty_wait_cause(call), 0, oid);
+    if (!reply) abort_txn(empty_wait_cause(call), 0);
     const auto& resp = std::get<net::ObjectResponse>(reply->payload);
 
     if (resp.wrong_owner) {
@@ -193,7 +194,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
         ni.oid = oid;
         ni.txid = root.id();
         comm_.post(reply->from, ni);
-        abort_txn(AbortCause::kBackoffExpired, 0, oid);
+        abort_txn(AbortCause::kBackoffExpired, 0);
       }
       const auto& granted = std::get<net::ObjectResponse>(pushed->payload);
       if (granted.object) {
@@ -201,14 +202,14 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
         if (granted.handoff) comm_.post(pushed->from, net::GrantAck{oid, root.id()});
         return admit_granted(leaf, oid, mode, *pushed);
       }
-      abort_txn(AbortCause::kSchedulerDenied, 0, oid);
+      abort_txn(AbortCause::kSchedulerDenied, 0);
     }
     // Not enqueued: scheduler said abort — with a pre-retry stall under
     // TFA+Backoff, immediately under plain TFA.
-    abort_txn(AbortCause::kSchedulerDenied, 0, oid, resp.backoff);
+    abort_txn(AbortCause::kSchedulerDenied, 0, resp.backoff);
   }
   // Ownership kept moving under us; give up this attempt.
-  abort_txn(AbortCause::kEarlyValidation, 0, oid);
+  abort_txn(AbortCause::kEarlyValidation, 0);
 }
 
 std::optional<NodeId> TfaRuntime::find_owner(ObjectId oid) {
@@ -254,106 +255,87 @@ void TfaRuntime::forward_if_needed(Transaction& root, std::uint64_t observed_clo
   root.forward_to(observed_clock);
 }
 
-void TfaRuntime::validate_chain(Transaction& root, bool reads_only) {
-  std::vector<ValidateItem> items;
-  for (Transaction* t = &root; t != nullptr; t = t->active_child()) {
+void TfaRuntime::validate_chain(Transaction& top, bool reads_only) {
+  // One round, not a serial walk, which would stretch every forwarding by
+  // read-set-size round-trips. A stale entry aborts at its own depth, so a
+  // child whose own read went stale retries alone (Turcu & Ravindran).
+  std::vector<RoundItem> items;
+  for (Transaction* t = &top; t != nullptr; t = t->active_child()) {
     for (auto& [oid, entry] : t->set()) {
       if (entry.inherited) continue;  // the real entry is validated upstream
       if (reads_only && entry.mode == net::AccessMode::kWrite) continue;
-      items.push_back(
-          ValidateItem{oid, &entry, t->depth(), entry.owner_hint, false, std::nullopt});
+      items.push_back(RoundItem{oid, &entry, entry.owner_hint, t->depth()});
     }
   }
-  run_validation(items);
+  run_round(items, {
+      .policy = comm_.retry_policy(),
+      .local = [&](const RoundItem& it) -> net::Payload {
+        return net::ValidateResponse{it.oid, owner_.validate(it.oid, it.entry->version.clock)};
+      },
+      .request = [](const RoundItem& it) -> net::Payload {
+        return net::ValidateRequest{it.oid, it.entry->version.clock};
+      },
+      .verdict = [&](const RoundItem& it, const net::Payload& answer) {
+        const auto result = std::get<net::ValidateResponse>(answer).result;
+        if (result == dsm::ObjectStore::ValidateResult::kInvalid)
+          abort_txn(AbortCause::kEarlyValidation, it.depth);
+        return result == dsm::ObjectStore::ValidateResult::kValid;
+      },
+      .fail = [&](AbortCause cause, const RoundItem& it) { abort_txn(cause, it.depth); },
+      .exhausted = AbortCause::kEarlyValidation,
+  });
 }
 
-void TfaRuntime::validate_child(Transaction& child) {
-  // Closed-nested commit validation (Turcu & Ravindran, the paper's
-  // substrate): before an inner transaction's effects merge into its
-  // parent, its own fetched entries are early-validated. A failure aborts
-  // the *child only* (locus = child depth), which then retries alone —
-  // the paper's first cause of nested-transaction aborts.
-  std::vector<ValidateItem> items;
-  for (auto& [oid, entry] : child.set()) {
-    if (entry.inherited) continue;
-    items.push_back(
-        ValidateItem{oid, &entry, child.depth(), entry.owner_hint, false, std::nullopt});
-  }
-  run_validation(items);
-}
-
-void TfaRuntime::run_validation(std::vector<ValidateItem>& items) {
-  // Early validation of an access-set slice. Remote checks for one round
-  // are issued concurrently — validation is a logical step, not a serial
-  // walk, and a serial walk would stretch every forwarding by
-  // read-set-size round-trips.
-  // One verdict, from this node's own store or from a remote owner.
-  const auto apply = [&](ValidateItem& it, dsm::ObjectStore::ValidateResult result) {
-    switch (result) {
-      case dsm::ObjectStore::ValidateResult::kValid:
-        it.done = true;
-        return;
-      case dsm::ObjectStore::ValidateResult::kInvalid:
-        abort_txn(AbortCause::kEarlyValidation, it.depth, it.oid);
-      case dsm::ObjectStore::ValidateResult::kNotOwner:
-        it.target = kInvalidNode;  // re-resolve below
-        return;
-    }
-  };
-  for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
+void TfaRuntime::run_round(std::vector<RoundItem>& items, const Round& round) {
+  for (int pass = 0; pass < kMaxOwnerRetries; ++pass) {
     bool all_done = true;
-    for (ValidateItem& it : items) {
+    for (RoundItem& it : items) {
       if (it.done) continue;
       all_done = false;
-      if (it.target == comm_.self()) {
-        apply(it, owner_.validate(it.oid, it.entry->version.clock));
+      if (round.local && it.target == comm_.self()) {
+        it.done = round.verdict(it, round.local(it));
       } else {
-        net::ValidateRequest req;
-        req.oid = it.oid;
-        req.expected_clock = it.entry->version.clock;
-        it.call.emplace(comm_.request(it.target, req));
+        it.call.emplace(comm_.request(it.target, round.request(it)));
       }
     }
     if (all_done) return;
 
-    for (ValidateItem& it : items) {
-      if (it.done || !it.call) continue;
-      const auto reply = net::reliable_wait(comm_, *it.call, comm_.retry_policy());
-      if (!reply) {
-        const AbortCause cause = empty_wait_cause(*it.call);
-        it.call.reset();
-        abort_txn(cause, it.depth, it.oid);
-      }
+    for (RoundItem& it : items) {
+      if (!it.call) continue;
+      const auto reply = net::reliable_wait(comm_, *it.call, round.policy);
+      const AbortCause cause = reply ? AbortCause::kNone : empty_wait_cause(*it.call);
       it.call.reset();
-      apply(it, std::get<net::ValidateResponse>(reply->payload).result);
+      if (!reply) round.fail(cause, it);
+      it.done = round.verdict(it, reply->payload);
     }
-    for (ValidateItem& it : items) {
-      if (it.done || it.target != kInvalidNode) continue;
+    // Every item left got a not-owner answer: find its owner for the next pass.
+    for (RoundItem& it : items) {
+      if (it.done) continue;
       owner_.forget_owner(it.oid);
       metrics_.add(Counter::wrong_owner_retries);
       const auto owner = find_owner(it.oid);
-      if (!owner) abort_txn(AbortCause::kShutdown, it.depth, it.oid);
+      if (!owner) round.fail(AbortCause::kShutdown, it);
       it.target = *owner;
     }
   }
-  for (const ValidateItem& it : items)
-    if (!it.done) abort_txn(AbortCause::kEarlyValidation, it.depth, it.oid);
+  for (const RoundItem& it : items)
+    if (!it.done) round.fail(round.exhausted, it);
 }
 
 // ---------------------------------------------------------------------------
 // Commit protocol
 // ---------------------------------------------------------------------------
 
-std::vector<TfaRuntime::WriteTarget> TfaRuntime::resolve_write_set(Transaction& root) {
-  std::vector<WriteTarget> writes;
-  for (auto& [oid, entry] : root.set()) {
-    if (entry.inherited || entry.mode != net::AccessMode::kWrite) continue;
-    HYFLOW_ASSERT_MSG(entry.working != nullptr, "write entry without a working copy");
-    writes.push_back(WriteTarget{oid, &entry, entry.owner_hint});
-  }
+std::vector<TfaRuntime::RoundItem> TfaRuntime::resolve_write_set(Transaction& root) {
   // Deterministic lock order across competing committers.
-  std::sort(writes.begin(), writes.end(),
-            [](const WriteTarget& a, const WriteTarget& b) { return a.oid < b.oid; });
+  std::map<ObjectId, AccessEntry*> sorted;
+  for (auto& [oid, entry] : root.set())
+    if (!entry.inherited && entry.mode == net::AccessMode::kWrite) sorted.emplace(oid, &entry);
+  std::vector<RoundItem> writes;
+  for (const auto& [oid, entry] : sorted) {
+    HYFLOW_ASSERT_MSG(entry->working != nullptr, "write entry without a working copy");
+    writes.push_back(RoundItem{oid, entry, entry->owner_hint});
+  }
   return writes;
 }
 
@@ -375,7 +357,7 @@ void TfaRuntime::commit_root(Transaction& root) {
     return;
   }
 
-  lock_write_set(root, writes);
+  lock_write_set(root.id(), writes);
 
   try {
     validate_chain(root, /*reads_only=*/true);
@@ -385,143 +367,100 @@ void TfaRuntime::commit_root(Transaction& root) {
   }
 
   const std::uint64_t commit_clock = clock_.increment_past(root.start_clock());
-
-  // Global registration of object ownership — deliberately inside the
-  // validation window (locks held): this is the long stretch during which
-  // conflicting requesters hit the scheduler (§II). Requests go out
-  // concurrently; the window is one directory round-trip, not one per object.
-  {
-    std::vector<net::RequestCall> calls;
-    calls.reserve(writes.size());
-    for (auto& w : writes) {
-      net::RegisterOwnerRequest req;
-      req.oid = w.oid;
-      req.new_owner = comm_.self();
-      req.version_clock = commit_clock;
-      calls.push_back(comm_.request(dsm::home_node(w.oid, comm_.cluster_size()), req));
-    }
-    // Registration must not give up early — a half-registered write set
-    // poisons the directory — so it gets a multiplied retry budget. If it
-    // still fails, every possibly-applied registration is rolled back to
-    // the previous owner at the same clock (register_owner accepts equal
-    // clocks), then the locks are released and the commit aborts.
-    const net::RetryPolicy policy = comm_.retry_policy().scaled(3);
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      if (const auto reply = net::reliable_wait(comm_, calls[i], policy)) {
-        // The home node kept a newer registration: counted, and the commit
-        // still goes on.
-        if (!std::get<net::RegisterOwnerResponse>(reply->payload).ok)
-          metrics_.add(Counter::register_refusals);
-        continue;
-      }
-      const AbortCause cause = empty_wait_cause(calls[i]);
-      if (cause == AbortCause::kWatchdog) {
-        HYFLOW_WARN("ownership registration of object ", writes[i].oid.value,
-                    " timed out; rolling back the registered set");
-        for (auto& w : writes) {
-          if (w.owner == comm_.self()) continue;  // owner unchanged
-          net::RegisterOwnerRequest undo;
-          undo.oid = w.oid;
-          undo.new_owner = w.owner;
-          undo.version_clock = commit_clock;
-          auto undo_call = comm_.request(dsm::home_node(w.oid, comm_.cluster_size()), undo);
-          net::reliable_wait(comm_, undo_call, comm_.retry_policy());
-        }
-      }
-      release_locks(root.id(), writes);
-      abort_txn(cause, 0, writes[i].oid);
-    }
-  }
-
+  register_write_set(root.id(), writes, commit_clock);
   publish_write_set(root, writes, commit_clock);
 }
 
-void TfaRuntime::lock_write_set(Transaction& root, std::vector<WriteTarget>& writes) {
-  // Lock requests for one round go out concurrently (lock order is still
-  // deterministic per object via the sort; grants never block, so there is
-  // no deadlock to order around — only livelock, resolved by abort).
-  const TxnId txid = root.id();
-  std::vector<bool> locked(writes.size(), false);
-  std::vector<std::optional<net::RequestCall>> calls(writes.size());
-
-  const auto fail = [&](AbortCause cause, ObjectId oid) {
+void TfaRuntime::lock_write_set(TxnId txid, std::vector<RoundItem>& writes) {
+  // Lock order is deterministic per object via the sort; grants never
+  // block, so there is no deadlock to order around — only livelock,
+  // resolved by abort.
+  const auto fail = [&](AbortCause cause, const RoundItem&) {
     // Collect outstanding grants before releasing, so no lock leaks. A call
     // that stays silent is treated as granted: the pessimistic unlock it
     // triggers is a no-op if the lock was never taken.
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (!calls[i]) continue;
-      if (auto reply = calls[i]->poll_for(comm_.retry_policy().base_timeout)) {
-        const auto& resp = std::get<net::LockResponse>(reply->payload);
-        if (resp.result == dsm::ObjectStore::LockResult::kGranted) locked[i] = true;
-      } else if (!calls[i]->closed()) {
-        locked[i] = true;  // unknown outcome: release pessimistically
-      }
-      calls[i].reset();
-    }
-    for (std::size_t i = 0; i < writes.size(); ++i)
-      if (locked[i]) release_lock(writes[i].oid, txid, writes[i].owner);
-    abort_txn(cause, 0, oid);
-  };
-  // One verdict, from this node's own store or from a remote owner.
-  const auto apply = [&](std::size_t i, dsm::ObjectStore::LockResult result) {
-    switch (result) {
-      case dsm::ObjectStore::LockResult::kGranted:
-        locked[i] = true;
-        return;
-      case dsm::ObjectStore::LockResult::kBusy:
-        return fail(AbortCause::kLockConflict, writes[i].oid);
-      case dsm::ObjectStore::LockResult::kVersionMismatch:
-        // The version read went stale: the lock doubles as validation.
-        return fail(AbortCause::kEarlyValidation, writes[i].oid);
-      case dsm::ObjectStore::LockResult::kNotOwner:
-        writes[i].owner = kInvalidNode;  // re-resolve below
-        return;
-    }
-  };
-
-  for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
-    bool all_locked = true;
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (locked[i]) continue;
-      all_locked = false;
-      WriteTarget& w = writes[i];
-      if (w.owner == comm_.self()) {
-        apply(i, owner_.lock(w.oid, txid, w.entry->version.clock));
+    for (RoundItem& w : writes) {
+      if (!w.call) continue;
+      if (auto reply = w.call->poll_for(comm_.retry_policy().base_timeout)) {
+        w.done = std::get<net::LockResponse>(reply->payload).result ==
+                 dsm::ObjectStore::LockResult::kGranted;
       } else {
-        net::LockRequest req;
-        req.oid = w.oid;
-        req.txid = txid;
-        req.expected_clock = w.entry->version.clock;
-        calls[i].emplace(comm_.request(w.owner, req));
+        w.done = !w.call->closed();  // unknown outcome: release pessimistically
       }
+      w.call.reset();
     }
-    if (all_locked) return;
-
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (!calls[i]) continue;
-      const auto reply = net::reliable_wait(comm_, *calls[i], comm_.retry_policy());
-      if (!reply) {
-        const AbortCause cause = empty_wait_cause(*calls[i]);
-        calls[i].reset();
-        fail(cause, writes[i].oid);
-      }
-      calls[i].reset();
-      apply(i, std::get<net::LockResponse>(reply->payload).result);
-    }
-    for (std::size_t i = 0; i < writes.size(); ++i) {
-      if (locked[i] || writes[i].owner != kInvalidNode) continue;
-      owner_.forget_owner(writes[i].oid);
-      metrics_.add(Counter::wrong_owner_retries);
-      const auto owner = find_owner(writes[i].oid);
-      if (!owner) fail(AbortCause::kShutdown, writes[i].oid);
-      writes[i].owner = *owner;
-    }
-  }
-  fail(AbortCause::kLockConflict, writes.front().oid);
+    for (const RoundItem& w : writes)
+      if (w.done) release_lock(w.oid, txid, w.target);
+    abort_txn(cause, 0);
+  };
+  run_round(writes, {
+      .policy = comm_.retry_policy(),
+      .local = [&](const RoundItem& w) -> net::Payload {
+        return net::LockResponse{w.oid, owner_.lock(w.oid, txid, w.entry->version.clock)};
+      },
+      .request = [&](const RoundItem& w) -> net::Payload {
+        return net::LockRequest{w.oid, txid, w.entry->version.clock};
+      },
+      .verdict = [&](const RoundItem& w, const net::Payload& answer) {
+        const auto result = std::get<net::LockResponse>(answer).result;
+        if (result == dsm::ObjectStore::LockResult::kBusy) fail(AbortCause::kLockConflict, w);
+        // The version read went stale: the lock doubles as validation.
+        if (result == dsm::ObjectStore::LockResult::kVersionMismatch)
+          fail(AbortCause::kEarlyValidation, w);
+        return result == dsm::ObjectStore::LockResult::kGranted;
+      },
+      .fail = fail,
+      .exhausted = AbortCause::kLockConflict,
+  });
 }
 
-void TfaRuntime::release_locks(TxnId txid, const std::vector<WriteTarget>& writes) {
-  for (const WriteTarget& w : writes) release_lock(w.oid, txid, w.owner);
+void TfaRuntime::register_write_set(TxnId txid, const std::vector<RoundItem>& writes,
+                                    std::uint64_t commit_clock) {
+  // Global registration of object ownership — deliberately inside the
+  // validation window (locks held): this is the long stretch during which
+  // conflicting requesters hit the scheduler (§II). The window is one
+  // directory round-trip, not one per object. A home node that is this node
+  // gets a request too: registration has no local step.
+  const auto fail = [&](AbortCause cause, const RoundItem& it) {
+    // Roll every possibly-applied registration back to the previous owner at
+    // the same clock (register_owner accepts equal clocks), then unlock.
+    if (cause == AbortCause::kWatchdog) {
+      HYFLOW_WARN("ownership registration of object ", it.oid.value,
+                  " timed out; rolling back the registered set");
+      for (const RoundItem& w : writes) {
+        if (w.target == comm_.self()) continue;  // owner unchanged
+        net::RegisterOwnerRequest undo{w.oid, w.target, commit_clock};
+        auto call = comm_.request(dsm::home_node(w.oid, comm_.cluster_size()), undo);
+        net::reliable_wait(comm_, call, comm_.retry_policy());
+      }
+    }
+    release_locks(txid, writes);
+    abort_txn(cause, 0);
+  };
+  std::vector<RoundItem> homes;
+  for (const RoundItem& w : writes)
+    homes.push_back(RoundItem{w.oid, w.entry, dsm::home_node(w.oid, comm_.cluster_size())});
+  run_round(homes, {
+      // Registration must not give up early — a half-registered write set
+      // poisons the directory — so it gets a multiplied retry budget.
+      .policy = comm_.retry_policy().scaled(3),
+      .request = [&](const RoundItem& it) -> net::Payload {
+        return net::RegisterOwnerRequest{it.oid, comm_.self(), commit_clock};
+      },
+      .verdict = [&](const RoundItem&, const net::Payload& answer) {
+        // No reachable run refuses a registration (docs/PROTOCOL.md): the
+        // commit clock is past every clock registered for the object. A
+        // refusal is counted, and the commit goes on.
+        if (!std::get<net::RegisterOwnerResponse>(answer).ok)
+          metrics_.add(Counter::register_refusals);
+        return true;
+      },
+      .fail = fail,
+  });
+}
+
+void TfaRuntime::release_locks(TxnId txid, const std::vector<RoundItem>& writes) {
+  for (const RoundItem& w : writes) release_lock(w.oid, txid, w.target);
 }
 
 void TfaRuntime::release_lock(ObjectId oid, TxnId txid, NodeId owner) {
@@ -538,7 +477,7 @@ void TfaRuntime::release_lock(ObjectId oid, TxnId txid, NodeId owner) {
   }
 }
 
-void TfaRuntime::publish_write_set(Transaction& root, const std::vector<WriteTarget>& writes,
+void TfaRuntime::publish_write_set(Transaction& root, const std::vector<RoundItem>& writes,
                                    std::uint64_t commit_clock) {
   // Past this point the commit is decided: every lock is held, the read set
   // validated, and ownership registered. Nothing here waits: an object that
@@ -546,12 +485,12 @@ void TfaRuntime::publish_write_set(Transaction& root, const std::vector<WriteTar
   // old owner's reply is absorbed when it lands (Alg. 4).
   const TxnId txid = root.id();
   const Version version{commit_clock, comm_.self()};
-  for (const WriteTarget& w : writes) {
+  for (const RoundItem& w : writes) {
     ObjectSnapshot snapshot = std::move(w.entry->working);
-    if (w.owner == comm_.self()) {
+    if (w.target == comm_.self()) {
       owner_.commit_in_place(w.oid, txid, std::move(snapshot), version);
     } else {
-      owner_.commit_handoff(w.owner, txid, std::move(snapshot), version);
+      owner_.commit_handoff(w.target, txid, std::move(snapshot), version);
     }
   }
 }

@@ -16,6 +16,10 @@
 // each old owner's requester queue when its reply lands and serves it with
 // the fresh object (Alg. 4).
 //
+// Locking, validation (forwarding, closed-nested child, commit) and
+// registration are rounds; run_round is the one place a round is written,
+// and each phase supplies only its request, its verdict and its clean-up.
+//
 // The owner side lives in tfa::OwnerCore. Where an object is owned by this
 // node, the requester path calls the OwnerCore step that the matching
 // request handler runs, instead of sending itself a message.
@@ -123,41 +127,62 @@ class TfaRuntime {
  private:
   friend class Txn;
 
-  struct ValidateItem {
+  // One object of a round: its entry, the node that answers for it (owner or
+  // home node), the depth an abort is charged to, and its call in flight.
+  struct RoundItem {
     ObjectId oid;
-    const AccessEntry* entry;
-    int depth;
+    AccessEntry* entry;
     NodeId target;
+    int depth = 0;
     bool done = false;
-    std::optional<net::RequestCall> call;
+    std::optional<net::RequestCall> call{};
   };
+  // What a phase supplies to run_round. `local` is the OwnerCore step for an
+  // item this node owns and returns the answer the owner's handler would
+  // send; without it every item gets a request. `verdict` reads an answer:
+  // true when the item is done, false when its target does not own the
+  // object; a failing answer calls `fail`, which cleans up and throws.
+  // `exhausted` is the cause when an owner kept moving through every pass.
+  struct Round {
+    net::RetryPolicy policy;
+    std::function<net::Payload(const RoundItem&)> local{};
+    std::function<net::Payload(const RoundItem&)> request;
+    std::function<bool(const RoundItem&, const net::Payload&)> verdict;
+    std::function<void(AbortCause, const RoundItem&)> fail;
+    AbortCause exhausted = AbortCause::kNone;
+  };
+
   // Find_owner: this node if its own store holds the object, else the owner
   // hint, else the home node's directory.
   std::optional<NodeId> find_owner(ObjectId oid);
   void forward_if_needed(Transaction& root, std::uint64_t observed_clock);
-  void validate_chain(Transaction& root, bool reads_only);
-  void validate_child(Transaction& child);
-  void run_validation(std::vector<ValidateItem>& items);
+  // Early-validates every entry fetched at `top` or below it: the whole
+  // chain on forwarding, the root's reads at commit, or a closed-nested
+  // child's own level (it is the leaf) before it merges.
+  void validate_chain(Transaction& top, bool reads_only);
   AccessEntry& admit_granted(Transaction& leaf, ObjectId oid, net::AccessMode mode,
                              const net::Message& reply);
-  [[noreturn]] void abort_txn(AbortCause cause, int locus, ObjectId oid,
-                              SimDuration stall = 0);
+  [[noreturn]] void abort_txn(AbortCause cause, int locus, SimDuration stall = 0);
 
-  // Commit-phase helpers.
-  struct WriteTarget {
-    ObjectId oid;
-    AccessEntry* entry;
-    NodeId owner;
-  };
-  std::vector<WriteTarget> resolve_write_set(Transaction& root);
-  void lock_write_set(Transaction& root, std::vector<WriteTarget>& writes);
-  void release_locks(TxnId txid, const std::vector<WriteTarget>& writes);
+  // Runs one round over `items` until each is done: every pass runs the
+  // local step or sends the request of each item left, then reads the
+  // answers in item order and re-resolves a not-owner through find_owner,
+  // up to kMaxOwnerRetries passes.
+  void run_round(std::vector<RoundItem>& items, const Round& round);
+
+  // Commit-phase helpers; a write item's target is the object's owner.
+  std::vector<RoundItem> resolve_write_set(Transaction& root);
+  void lock_write_set(TxnId txid, std::vector<RoundItem>& writes);
+  // On a timeout: rolls the set back, releases the locks and aborts.
+  void register_write_set(TxnId txid, const std::vector<RoundItem>& writes,
+                          std::uint64_t commit_clock);
+  void release_locks(TxnId txid, const std::vector<RoundItem>& writes);
   // Releases a commit lock at `owner`: a local owner step, or a reliable
   // AbortUnlock (a lost release would wedge the object at the owner).
   void release_lock(ObjectId oid, TxnId txid, NodeId owner);
   // Installs the new copies: in place, or by a hand-off step that sends the
   // old owner its CommitRequest without waiting for the reply.
-  void publish_write_set(Transaction& root, const std::vector<WriteTarget>& writes,
+  void publish_write_set(Transaction& root, const std::vector<RoundItem>& writes,
                          std::uint64_t commit_clock);
 
   TfaConfig cfg_;
