@@ -105,7 +105,7 @@ BenchPoint& BenchPoint::from_metrics(const runtime::MetricsSnapshot& delta, doub
 
 BenchPoint& BenchPoint::from_experiment(const runtime::ExperimentResult& result) {
   from_metrics(result.delta, result.seconds, result.messages, result.bytes, result.verified);
-  metric("queue_residue", result.queue_residue);
+  metric("queue_residue", result.report.queued_requesters);
   return *this;
 }
 

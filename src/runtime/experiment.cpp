@@ -36,9 +36,6 @@ ExperimentResult run_experiment(workloads::Workload& workload, const ExperimentC
   result.messages = messages_after - messages_before;
   result.bytes = bytes_after - bytes_before;
   result.report = collect_report(cluster);
-  result.queue_residue = result.report.queued_requesters;
-  result.locked_slots = result.report.locked_slots;
-  result.pending_handoffs = result.report.pending_handoffs;
 
   if (cfg.verify) {
     result.verified = workload.verify(cluster);

@@ -30,10 +30,7 @@ struct ExperimentResult {
   double seconds = 0.0;                // measured wall time of the window
   std::uint64_t messages = 0;          // transport messages in the window
   std::uint64_t bytes = 0;             // transport bytes in the window
-  std::uint64_t queue_residue = 0;     // requesters still parked at the end
-  std::uint64_t locked_slots = 0;      // slots still locked at the end
-  std::uint64_t pending_handoffs = 0;  // hand-offs still awaiting a reply
-  ClusterReport report;                // collected after the workers stopped
+  ClusterReport report;                // after the workers stopped, with the quiesce audit
   bool verified = true;
 };
 

@@ -160,9 +160,11 @@ TEST(FaultInjector, DifferentSeedInjectsDifferentPattern) {
 
 // Runs the bank workload under `plan` with a hard liveness deadline: the
 // run must finish — commit transactions, quiesce, shut down — long before
-// the deadline, and the balance total must be exactly conserved.
+// the deadline, and the balance total must be exactly conserved. A failed
+// check prints the scheduler, the fault seed and the cluster report.
 void run_bank_chaos(const net::FaultPlan& plan, SimDuration warmup, SimDuration measure,
                     const std::string& scheduler = "rts") {
+  SCOPED_TRACE("scheduler " + scheduler + ", fault seed " + std::to_string(plan.seed));
   workloads::WorkloadConfig wcfg;
   wcfg.read_ratio = 0.2;
   wcfg.objects_per_node = 5;
@@ -186,12 +188,17 @@ void run_bank_chaos(const net::FaultPlan& plan, SimDuration warmup, SimDuration 
   ASSERT_EQ(future.wait_for(std::chrono::seconds(120)), std::future_status::ready)
       << "chaos run hung: liveness violated";
   const auto result = future.get();
-  EXPECT_GT(result.delta.commits_root, 0u) << "no progress under faults";
-  EXPECT_TRUE(result.verified) << "conservation violated under faults";
+  const std::string report = result.report.to_string();
+  EXPECT_GT(result.delta.commits_root, 0u) << "no progress under faults\n" << report;
+  EXPECT_TRUE(result.verified) << "conservation violated under faults\n" << report;
   // The sweep resent every lost CommitRequest or reply until the hand-off
   // completed, and the old owner evicted its locked copy.
-  EXPECT_EQ(result.pending_handoffs, 0u) << "a hand-off outlived the drain";
-  EXPECT_EQ(result.locked_slots, 0u) << "a lock outlived its commit";
+  EXPECT_EQ(result.report.pending_handoffs, 0u) << "a hand-off outlived the drain\n" << report;
+  EXPECT_EQ(result.report.locked_slots, 0u) << "a lock outlived its commit\n" << report;
+  // A committer's clock has passed every clock registered for an object it
+  // registers, so no home node refuses it (docs/PROTOCOL.md).
+  EXPECT_EQ(result.report.totals.register_refusals, 0u)
+      << "a home node refused a registration\n" << report;
 }
 
 TEST(Chaos, BankSurvivesDropAndDuplication) {

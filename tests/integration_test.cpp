@@ -166,7 +166,7 @@ TEST(ClusterInvariants, QueueResidueDrainsAfterStop) {
     wcfg.objects_per_node = 3;
     auto wl = workloads::make_workload("bank", wcfg);
     const auto result = runtime::run_experiment(*wl, small_experiment(scheduler, 0.05));
-    EXPECT_EQ(result.queue_residue, 0u);
+    EXPECT_EQ(result.report.queued_requesters, 0u);
   }
 }
 

@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
   std::printf("invariants          %10s\n", result.verified ? "verified" : "VIOLATED");
   // After the drain no hand-off may still wait for its reply, and no slot
   // may stay locked: either would mean a lost message was never recovered.
-  const bool quiesced = result.pending_handoffs == 0 && result.locked_slots == 0;
+  const bool quiesced =
+      result.report.pending_handoffs == 0 && result.report.locked_slots == 0;
   std::printf("quiesce             %10s\n", quiesced ? "clean" : "UNCLEAN");
 
   if (cli.get_bool("latency", false)) {
