@@ -372,7 +372,7 @@ void TfaRuntime::commit_root(Transaction& root) {
 }
 
 void TfaRuntime::lock_write_set(TxnId txid, std::vector<RoundItem>& writes) {
-  // Lock order is deterministic per object via the sort; grants never
+  // Locks are requested in object order (resolve_write_set); grants never
   // block, so there is no deadlock to order around — only livelock,
   // resolved by abort.
   const auto fail = [&](AbortCause cause, const RoundItem&) {
