@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   opt.bench_name = "ablation_cl_threshold";
   const auto nodes = static_cast<std::uint32_t>(cfg.get_int("nodes", 12));
   const auto thresholds = cfg.get_int_list("thresholds", {1, 2, 4, 6, 8, 12, 16});
+  check_args(cfg, opt.bench_name);
   if (opt.workloads.empty()) opt.workloads = {"bank", "vacation", "dht"};
   const std::vector<std::string> selected = opt.workloads;
 

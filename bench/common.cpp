@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "bench/bench_result.hpp"
@@ -43,6 +44,23 @@ HarnessOptions HarnessOptions::from_config(const Config& cfg) {
   opt.workloads = split_csv_list(cfg.get_string("workloads", ""));
   opt.schedulers = split_csv_list(cfg.get_string("schedulers", ""));
   return opt;
+}
+
+void check_args(const Config& cfg, const std::string& bench) {
+  if (cfg.get_bool("help", false)) {
+    std::printf("usage: %s [--key=value ...]\nkeys:\n", bench.c_str());
+    for (const auto& key : cfg.asked())
+      if (key != "help") std::printf("  --%s\n", key.c_str());
+    std::exit(0);
+  }
+  const auto unknown = cfg.unasked();
+  for (const auto& key : unknown)
+    std::fprintf(stderr, "%s: unknown key '--%s'\n", bench.c_str(), key.c_str());
+  for (const auto& arg : cfg.positional())
+    std::fprintf(stderr, "%s: unexpected argument '%s'\n", bench.c_str(), arg.c_str());
+  if (unknown.empty() && cfg.positional().empty()) return;
+  std::fprintf(stderr, "%s: --help lists the keys\n", bench.c_str());
+  std::exit(2);
 }
 
 BenchResult make_bench_result(const HarnessOptions& opt) {

@@ -20,6 +20,9 @@
 //   --workloads=a,b         restrict multi-workload benches to a subset
 //   --schedulers=rts,tfa    restrict the policy sweep (default: every
 //                           policy registered in core::scheduler_names())
+//   --help                  list the keys the binary reads, and exit
+// A key the binary does not read, or a positional argument, is refused
+// (exit 2) before anything runs.
 #pragma once
 
 #include <string>
@@ -62,6 +65,12 @@ struct HarnessOptions {
 
   static HarnessOptions from_config(const Config& cfg);
 };
+
+// Ends the process when the command line asks for help (exit 0, listing the
+// keys read so far) or holds a key nothing read or a positional argument
+// (exit 2, naming it). Call it once `bench` has read all of its keys and
+// before it runs anything.
+void check_args(const Config& cfg, const std::string& bench);
 
 // BenchResult for this run with the harness parameters stamped as metadata
 // (seed, workers, window, delays, ...). Uses `opt.bench_name`.

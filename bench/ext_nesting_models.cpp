@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
   auto opt = HarnessOptions::from_config(cfg);
   opt.bench_name = "ext_nesting_models";
   const auto nodes = static_cast<std::uint32_t>(cfg.get_int("nodes", 12));
+  check_args(cfg, opt.bench_name);
 
   BenchResult bench = make_bench_result(opt);
   bench.meta("nodes", static_cast<std::int64_t>(nodes));

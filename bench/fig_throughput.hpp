@@ -19,6 +19,7 @@ inline int run_throughput_figure(int argc, char** argv, const char* title, bool 
   const auto cfg = Config::from_args(argc, argv);
   auto opt = HarnessOptions::from_config(cfg);
   opt.bench_name = low_contention ? "fig4_throughput_low" : "fig5_throughput_high";
+  check_args(cfg, opt.bench_name);
   const double read_ratio = low_contention ? opt.read_ratio_low : opt.read_ratio_high;
   const auto schedulers = selected_schedulers(opt);
 

@@ -98,6 +98,7 @@ int main(int argc, char** argv) {
   const auto nodes = static_cast<std::uint32_t>(cfg.get_int("nodes", 16));
   const SimDuration gamma = sim_us(cfg.get_int("gamma-us", 300));
   const int repeats = static_cast<int>(cfg.get_int("repeats", 3));
+  check_args(cfg, opt.bench_name);
 
   BenchResult bench = make_bench_result(opt);
   bench.meta("nodes", static_cast<std::int64_t>(nodes));

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   auto opt = HarnessOptions::from_config(cfg);
   opt.bench_name = "table1_abort_rate";
   const auto nodes = static_cast<std::uint32_t>(cfg.get_int("nodes", 16));
+  check_args(cfg, opt.bench_name);
   const auto schedulers = selected_schedulers(opt);
 
   BenchResult bench = make_bench_result(opt);

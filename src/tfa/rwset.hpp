@@ -3,10 +3,11 @@
 // Each nesting level of a transaction keeps its own AccessSet. An entry
 // records the snapshot as fetched (or as inherited from an ancestor), the
 // private working copy if the level wrote the object, the version the
-// fetch observed, and where the object came from. On closed-nested commit
-// the child's entries merge into the parent (the inherited objects — and
-// with them, the fetch round-trips already paid — survive the child);
-// on child abort the child's set is simply dropped.
+// fetch observed, where the object came from, and when it was last shown
+// current. On closed-nested commit the child's entries merge into the
+// parent (the inherited objects — and with them, the fetch round-trips
+// already paid — survive the child); on child abort the child's set is
+// simply dropped.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +29,20 @@ struct AccessEntry {
   NodeId owner_hint = kInvalidNode;           // who served the fetch
   std::uint32_t owner_cl = 0;                 // local CL piggy-backed on the fetch
   bool inherited = false;  // views an ancestor's entry; never merged/validated here
+  // Fetch counts (Transaction::fetches): the count this entry's fetch made,
+  // and the count when the last round that found it current began.
+  std::uint64_t fetched_at = 0;
+  std::uint64_t validated_at = 0;
 
   // The value this level observes: its own write if any, else the base.
   const AbstractObject& effective() const { return working ? *working : *base; }
+
+  // Shown current at the instant the tree's fetch number `fetches` was
+  // served: this entry is that fetch, or a round begun after it found the
+  // entry current.
+  bool current_at(std::uint64_t fetches) const {
+    return fetched_at == fetches || validated_at == fetches;
+  }
 
   // Lazily create the private working copy.
   AbstractObject& mutable_copy() {

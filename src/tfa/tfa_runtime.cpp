@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "dsm/directory.hpp"
@@ -11,7 +12,7 @@
 namespace hyflow::tfa {
 
 namespace {
-// Wrong-owner re-resolutions (and lock/validate rounds) per operation.
+// Wrong-owner re-resolutions per open.
 constexpr int kMaxOwnerRetries = 8;
 }  // namespace
 
@@ -39,7 +40,7 @@ void Txn::nested(const std::function<void(Txn&)>& body) {
       // Closed-nested commit: early-validate the child's own reads before
       // its effects merge (Turcu & Ravindran's nested TFA). A stale child
       // aborts here — alone — instead of dooming the parent at root commit.
-      rt_.validate_chain(child, /*reads_only=*/false);
+      rt_.validate_chain(child, TfaRuntime::Scope::kAll);
       child.merge_into_parent();
       level_.root().nested_committed += 1;
       rt_.metrics().add(Counter::nested_commits);
@@ -234,6 +235,7 @@ AccessEntry& TfaRuntime::admit_granted(Transaction& leaf, ObjectId oid, net::Acc
   forward_if_needed(root, reply.sender_clock);
 
   AccessEntry e;
+  e.fetched_at = root.count_fetch();
   e.base = resp.object;
   e.version = resp.version;
   e.mode = mode;
@@ -251,21 +253,38 @@ void TfaRuntime::forward_if_needed(Transaction& root, std::uint64_t observed_clo
   // so everything read so far must be re-validated before the start clock
   // moves up (early validation; §II).
   metrics_.add(Counter::forwardings);
-  validate_chain(root, /*reads_only=*/false);
+  validate_chain(root, Scope::kAll);
   root.forward_to(observed_clock);
 }
 
-void TfaRuntime::validate_chain(Transaction& top, bool reads_only) {
+void TfaRuntime::validate_chain(Transaction& top, Scope scope) {
   // One round, not a serial walk, which would stretch every forwarding by
   // read-set-size round-trips. A stale entry aborts at its own depth, so a
   // child whose own read went stale retries alone (Turcu & Ravindran).
+  Transaction& root = top.root();
+  const std::uint64_t started = root.fetches();
   std::vector<RoundItem> items;
-  for (Transaction* t = &top; t != nullptr; t = t->active_child()) {
+  bool writes = false;
+  for (Transaction* t = &root; t != nullptr; t = t->active_child()) {
     for (auto& [oid, entry] : t->set()) {
-      if (entry.inherited) continue;  // the real entry is validated upstream
-      if (reads_only && entry.mode == net::AccessMode::kWrite) continue;
+      writes = writes || entry.mode == net::AccessMode::kWrite;
+      if (t->depth() < top.depth()) continue;  // an ancestor: a rider at most
+      if (entry.inherited) continue;           // the real entry is validated upstream
+      if (scope == Scope::kReads && entry.mode == net::AccessMode::kWrite) continue;
+      if (scope == Scope::kUnproven && entry.current_at(started)) continue;
       items.push_back(RoundItem{oid, &entry, entry.owner_hint, t->depth()});
     }
+  }
+  // Riders: a read-only tree's child round also asks each node it already
+  // asks about the ancestors' entries held there. The round takes no longer,
+  // and the read-only commit skips what it finds current (commit_root).
+  if (!top.is_root() && !writes) {
+    std::set<NodeId> asked;
+    for (const RoundItem& it : items) asked.insert(it.target);
+    for (Transaction* t = &root; t != &top; t = t->active_child())
+      for (auto& [oid, entry] : t->set())
+        if (!entry.inherited && asked.count(entry.owner_hint) > 0)
+          items.push_back(RoundItem{oid, &entry, entry.owner_hint, t->depth()});
   }
   run_round(items, {
       .policy = comm_.retry_policy(),
@@ -276,50 +295,35 @@ void TfaRuntime::validate_chain(Transaction& top, bool reads_only) {
         return net::ValidateRequest{it.oid, it.entry->version.clock};
       },
       .verdict = [&](const RoundItem& it, const net::Payload& answer) {
-        const auto result = std::get<net::ValidateResponse>(answer).result;
-        if (result == dsm::ObjectStore::ValidateResult::kInvalid)
+        // Only a commit moves an object, and it installs a larger clock: a
+        // copy whose node no longer owns it is as stale as a changed one.
+        if (std::get<net::ValidateResponse>(answer).result !=
+            dsm::ObjectStore::ValidateResult::kValid)
           abort_txn(AbortCause::kEarlyValidation, it.depth);
-        return result == dsm::ObjectStore::ValidateResult::kValid;
       },
       .fail = [&](AbortCause cause, const RoundItem& it) { abort_txn(cause, it.depth); },
-      .exhausted = AbortCause::kEarlyValidation,
   });
+  for (const RoundItem& it : items) it.entry->validated_at = started;
 }
 
 void TfaRuntime::run_round(std::vector<RoundItem>& items, const Round& round) {
-  for (int pass = 0; pass < kMaxOwnerRetries; ++pass) {
-    bool all_done = true;
-    for (RoundItem& it : items) {
-      if (it.done) continue;
-      all_done = false;
-      if (round.local && it.target == comm_.self()) {
-        it.done = round.verdict(it, round.local(it));
-      } else {
-        it.call.emplace(comm_.request(it.target, round.request(it)));
-      }
-    }
-    if (all_done) return;
-
-    for (RoundItem& it : items) {
-      if (!it.call) continue;
-      const auto reply = net::reliable_wait(comm_, *it.call, round.policy);
-      const AbortCause cause = reply ? AbortCause::kNone : empty_wait_cause(*it.call);
-      it.call.reset();
-      if (!reply) round.fail(cause, it);
-      it.done = round.verdict(it, reply->payload);
-    }
-    // Every item left got a not-owner answer: find its owner for the next pass.
-    for (RoundItem& it : items) {
-      if (it.done) continue;
-      owner_.forget_owner(it.oid);
-      metrics_.add(Counter::wrong_owner_retries);
-      const auto owner = find_owner(it.oid);
-      if (!owner) round.fail(AbortCause::kShutdown, it);
-      it.target = *owner;
+  for (RoundItem& it : items) {
+    if (round.local && it.target == comm_.self()) {
+      round.verdict(it, round.local(it));
+      it.done = true;
+    } else {
+      it.call.emplace(comm_.request(it.target, round.request(it)));
     }
   }
-  for (const RoundItem& it : items)
-    if (!it.done) round.fail(round.exhausted, it);
+  for (RoundItem& it : items) {
+    if (!it.call) continue;
+    const auto reply = net::reliable_wait(comm_, *it.call, round.policy);
+    const AbortCause cause = reply ? AbortCause::kNone : empty_wait_cause(*it.call);
+    it.call.reset();
+    if (!reply) round.fail(cause, it);
+    round.verdict(it, reply->payload);
+    it.done = true;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -344,23 +348,23 @@ void TfaRuntime::commit_root(Transaction& root) {
   auto writes = resolve_write_set(root);
 
   if (writes.empty()) {
-    // Read-only transaction: commit-time validation only, no locks, no
-    // ownership changes. A single-object read needs no validation at all —
-    // the fetched copy was the committed value at fetch time, so the
-    // transaction serialises there (and cannot be starved by a write-hot
-    // object).
-    std::size_t fetched = 0;
-    for (Transaction* t = &root; t != nullptr; t = t->active_child())
-      for (const auto& [oid, entry] : t->set())
-        if (!entry.inherited) ++fetched;
-    if (fetched > 1) validate_chain(root, /*reads_only=*/false);
+    // Read-only transaction: no locks, no ownership changes. It serializes
+    // at the instant its last fetch was served, so it validates only the
+    // entries with no evidence of being current then. The entry fetched last
+    // was current when served. An entry that a round begun after the last
+    // fetch found current at instant t held its read version from its fetch
+    // to t: versions only grow, and an object leaves a node only with a
+    // commit that installs a larger clock. Every read was therefore current
+    // at that serving instant. A tree that fetched one object, or whose last
+    // child's round (riders included) covered every entry, sends nothing.
+    validate_chain(root, Scope::kUnproven);
     return;
   }
 
   lock_write_set(root.id(), writes);
 
   try {
-    validate_chain(root, /*reads_only=*/true);
+    validate_chain(root, Scope::kReads);
   } catch (...) {
     release_locks(root.id(), writes);
     throw;
@@ -404,13 +408,12 @@ void TfaRuntime::lock_write_set(TxnId txid, std::vector<RoundItem>& writes) {
       .verdict = [&](const RoundItem& w, const net::Payload& answer) {
         const auto result = std::get<net::LockResponse>(answer).result;
         if (result == dsm::ObjectStore::LockResult::kBusy) fail(AbortCause::kLockConflict, w);
-        // The version read went stale: the lock doubles as validation.
-        if (result == dsm::ObjectStore::LockResult::kVersionMismatch)
+        // The version read went stale, or the object moved on with a commit
+        // that installed a larger clock: the lock doubles as validation.
+        if (result != dsm::ObjectStore::LockResult::kGranted)
           fail(AbortCause::kEarlyValidation, w);
-        return result == dsm::ObjectStore::LockResult::kGranted;
       },
       .fail = fail,
-      .exhausted = AbortCause::kLockConflict,
   });
 }
 
@@ -453,7 +456,6 @@ void TfaRuntime::register_write_set(TxnId txid, const std::vector<RoundItem>& wr
         // refusal is counted, and the commit goes on.
         if (!std::get<net::RegisterOwnerResponse>(answer).ok)
           metrics_.add(Counter::register_refusals);
-        return true;
       },
       .fail = fail,
   });

@@ -106,8 +106,9 @@ class TfaRuntime {
              NodeClock& clock, runtime::NodeMetrics& metrics);
 
   // Executes `body` as a root transaction, retrying on aborts until commit
-  // or until `keep_going` returns false. Read-only roots validate at
-  // commit; write roots run the full lock/validate/register protocol.
+  // or until `keep_going` returns false. Read-only roots validate at commit
+  // the reads nothing has shown current since their last fetch; write roots
+  // run the full lock/validate/register protocol.
   RunResult run(std::uint32_t profile, const std::function<void(Txn&)>& body,
                 const std::function<bool()>& keep_going = [] { return true; });
 
@@ -128,7 +129,8 @@ class TfaRuntime {
   friend class Txn;
 
   // One object of a round: its entry, the node that answers for it (owner or
-  // home node), the depth an abort is charged to, and its call in flight.
+  // home node), the depth an abort is charged to, whether its answer passed
+  // the verdict, and its call in flight.
   struct RoundItem {
     ObjectId oid;
     AccessEntry* entry;
@@ -139,35 +141,41 @@ class TfaRuntime {
   };
   // What a phase supplies to run_round. `local` is the OwnerCore step for an
   // item this node owns and returns the answer the owner's handler would
-  // send; without it every item gets a request. `verdict` reads an answer:
-  // true when the item is done, false when its target does not own the
-  // object; a failing answer calls `fail`, which cleans up and throws.
-  // `exhausted` is the cause when an owner kept moving through every pass.
+  // send; without it every item gets a request. `verdict` reads an answer
+  // and returns if it succeeds; any other answer, not-owner included, cleans
+  // up and throws, as `fail` does for a silent target.
   struct Round {
     net::RetryPolicy policy;
     std::function<net::Payload(const RoundItem&)> local{};
     std::function<net::Payload(const RoundItem&)> request;
-    std::function<bool(const RoundItem&, const net::Payload&)> verdict;
+    std::function<void(const RoundItem&, const net::Payload&)> verdict;
     std::function<void(AbortCause, const RoundItem&)> fail;
-    AbortCause exhausted = AbortCause::kNone;
+  };
+  // Which entries of the chain a validation round asks about.
+  enum class Scope {
+    kAll,       // forwarding, or a closed-nested child's own level
+    kReads,     // a writer's commit: its reads, once its writes are locked
+    kUnproven,  // a read-only commit: entries not shown current at the last fetch
   };
 
   // Find_owner: this node if its own store holds the object, else the owner
   // hint, else the home node's directory.
   std::optional<NodeId> find_owner(ObjectId oid);
   void forward_if_needed(Transaction& root, std::uint64_t observed_clock);
-  // Early-validates every entry fetched at `top` or below it: the whole
-  // chain on forwarding, the root's reads at commit, or a closed-nested
-  // child's own level (it is the leaf) before it merges.
-  void validate_chain(Transaction& top, bool reads_only);
+  // Early-validates the entries in `scope` fetched at `top` or below it: the
+  // whole chain on forwarding, the root at commit, or a closed-nested child's
+  // own level (it is the leaf) before it merges. While the tree holds no
+  // write, a child's round also carries its ancestors' entries held at the
+  // nodes it asks (riders). Every entry of a round that succeeds records the
+  // fetch count at the round's start.
+  void validate_chain(Transaction& top, Scope scope);
   AccessEntry& admit_granted(Transaction& leaf, ObjectId oid, net::AccessMode mode,
                              const net::Message& reply);
   [[noreturn]] void abort_txn(AbortCause cause, int locus, SimDuration stall = 0);
 
-  // Runs one round over `items` until each is done: every pass runs the
-  // local step or sends the request of each item left, then reads the
-  // answers in item order and re-resolves a not-owner through find_owner,
-  // up to kMaxOwnerRetries passes.
+  // Runs one round over `items`: runs the local step or sends the request of
+  // each item, then reads the answers in item order. It returns once every
+  // answer passed its verdict; there is no second pass.
   void run_round(std::vector<RoundItem>& items, const Round& round);
 
   // Commit-phase helpers; a write item's target is the object's owner.

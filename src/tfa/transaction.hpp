@@ -83,6 +83,10 @@ class Transaction {
   void forward_to(std::uint64_t clock) { root().start_clock_ = clock; }
   SimTime wall_start() const { return root().wall_start_; }
   SimTime expected_commit() const { return root().expected_commit_; }
+  // Objects fetched into the tree in this attempt; an entry records the
+  // count at its fetch and at the start of each round that finds it current.
+  std::uint64_t fetches() const { return root().fetches_; }
+  std::uint64_t count_fetch() { return ++root().fetches_; }
 
   // Children committed in the current attempt (rolled back — and counted —
   // if the root aborts).
@@ -99,6 +103,7 @@ class Transaction {
   std::uint64_t start_clock_ = 0;
   SimTime wall_start_ = 0;
   SimTime expected_commit_ = 0;
+  std::uint64_t fetches_ = 0;
 };
 
 }  // namespace hyflow::tfa

@@ -27,9 +27,17 @@ void Config::set(const std::string& key, const std::string& value) {
   values_[key] = value;
 }
 
-bool Config::has(const std::string& key) const { return values_.count(key) > 0; }
+bool Config::has(const std::string& key) const { return raw(key).has_value(); }
+
+std::vector<std::string> Config::unasked() const {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : values_)
+    if (asked_.count(key) == 0) keys.push_back(key);
+  return keys;
+}
 
 std::optional<std::string> Config::raw(const std::string& key) const {
+  asked_.insert(key);
   auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;

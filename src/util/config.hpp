@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,10 +36,18 @@ class Config {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // The keys has() or a getter asked for so far, given or not, and the keys
+  // given that nothing asked for: a binary that has read every key it takes
+  // can refuse the rest (bench::check_args). Recording makes the getters
+  // unsafe to call from two threads at once.
+  const std::set<std::string>& asked() const { return asked_; }
+  std::vector<std::string> unasked() const;
+
  private:
   std::optional<std::string> raw(const std::string& key) const;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> asked_;  // the getters are const
 };
 
 }  // namespace hyflow

@@ -8,6 +8,8 @@
 //
 // Node 0 of 4. The root writes object 9 (owned here, home node 0), 11 (at
 // node 1, home 1) and 13 (at node 2, home 3), and it reads 12 (at node 2).
+// The trees at the end read these objects in closed-nested children and pin
+// which reads a child's round carries and which a read-only commit checks.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -175,17 +177,27 @@ struct CommitRound : ::testing::Test {
     clock.advance_to(kStartClock);
   }
 
+  // One attempt of a root running `body`.
+  tfa::RunResult run_once(const std::function<void(tfa::Txn&)>& body) {
+    return rt.run(1, body, [attempts = 0]() mutable { return attempts++ == 0; });
+  }
+
   // One attempt of the root: write 9, 11 and 13, read 12.
   tfa::RunResult run_root_once() {
-    return rt.run(
-        1,
-        [](tfa::Txn& tx) {
-          tx.write<Box>(kLocal).value += 1;
-          tx.write<Box>(kAtOne).value += 1;
-          tx.write<Box>(kAtTwo).value += 1;
-          (void)tx.read<Box>(kRead);
-        },
-        [attempts = 0]() mutable { return attempts++ == 0; });
+    return run_once([](tfa::Txn& tx) {
+      tx.write<Box>(kLocal).value += 1;
+      tx.write<Box>(kAtOne).value += 1;
+      tx.write<Box>(kAtTwo).value += 1;
+      (void)tx.read<Box>(kRead);
+    });
+  }
+
+  // A closed-nested child that reads 11 (at node 1) and 12 (at node 2).
+  static void read_at_one_and_two(tfa::Txn& tx) {
+    tx.nested([](tfa::Txn& child) {
+      (void)child.read<Box>(kAtOne);
+      (void)child.read<Box>(kRead);
+    });
   }
 
   std::uint64_t root_aborts(AbortCause cause) const {
@@ -199,6 +211,9 @@ struct CommitRound : ::testing::Test {
 
   // The opens of run_root_once, before the commit.
   static constexpr const char* kOpens = "Object(9)>0 Object(11)>1 Object(13)>2 Object(12)>2";
+  // The fetches and the round of read_at_one_and_two's child.
+  static constexpr const char* kFirstChild =
+      "Object(11)>1 Object(12)>2 Validate(12@3)>2 Validate(11@3)>1";
 
   ScriptedComm comm;
   runtime::NodeMetrics metrics;
@@ -257,22 +272,37 @@ TEST_F(CommitRound, StaleReadReleasesEveryLockAndRegistersNothing) {
   EXPECT_FALSE(locally_locked());
 }
 
-TEST_F(CommitRound, NotOwnerLockReplyIsResolvedThroughTheDirectory) {
+TEST_F(CommitRound, NotOwnerLockReplyAbortsAsEarlyValidation) {
   comm.script = [](NodeId to, const net::Payload& p) -> std::optional<net::Payload> {
     if (const auto* r = std::get_if<net::LockRequest>(&p); r && to == 1)
       return net::LockResponse{r->oid, ObjectStore::LockResult::kNotOwner};
     return healthy(to, p);
   };
   const auto res = run_root_once();
-  EXPECT_TRUE(res.committed);
-  // Object 11's home node 1 names node 3, which gets the second lock
-  // request and the hand-off.
+  EXPECT_FALSE(res.committed);
+  EXPECT_EQ(root_aborts(AbortCause::kEarlyValidation), 1u);
+  // Only a commit moves an object, and it installs a larger clock, so the
+  // copy read is stale: no directory trip, no second pass. Node 2 granted
+  // its lock, so it alone gets an AbortUnlock.
+  EXPECT_EQ(comm.trace(),
+            std::string(kOpens) + " Lock(11@3)>1 Lock(13@3)>2 AbortUnlock(13)>2");
+  EXPECT_EQ(metrics.snapshot().wrong_owner_retries, 0u);
+  EXPECT_FALSE(locally_locked());
+}
+
+TEST_F(CommitRound, NotOwnerValidateReplyAbortsAsEarlyValidation) {
+  comm.script = [](NodeId to, const net::Payload& p) -> std::optional<net::Payload> {
+    if (const auto* r = std::get_if<net::ValidateRequest>(&p))
+      return net::ValidateResponse{r->oid, ObjectStore::ValidateResult::kNotOwner};
+    return healthy(to, p);
+  };
+  const auto res = run_root_once();
+  EXPECT_FALSE(res.committed);
+  EXPECT_EQ(root_aborts(AbortCause::kEarlyValidation), 1u);
   EXPECT_EQ(comm.trace(), std::string(kOpens) +
-                              " Lock(11@3)>1 Lock(13@3)>2 FindOwner(11)>1 Lock(11@3)>3"
-                              " Validate(12@3)>2"
-                              " Register(9:0@6)>0 Register(11:0@6)>1 Register(13:0@6)>3"
-                              " async Commit(11@6:0)>3 async Commit(13@6:0)>2");
-  EXPECT_EQ(metrics.snapshot().wrong_owner_retries, 1u);
+                              " Lock(11@3)>1 Lock(13@3)>2 Validate(12@3)>2"
+                              " AbortUnlock(11)>1 AbortUnlock(13)>2");
+  EXPECT_FALSE(locally_locked());
 }
 
 TEST_F(CommitRound, SilentRegistrationRollsBackThenUnlocks) {
@@ -319,6 +349,83 @@ TEST_F(CommitRound, StaleReadInAClosedNestedChildRetriesTheChildAlone) {
   EXPECT_EQ(counted.nested_aborts_parent_cause, 0u);
   EXPECT_EQ(counted.nested_commits, 1u);
   EXPECT_EQ(counted.aborts_total(), 0u);
+}
+
+// ---- read-only commits reuse the children's rounds ----
+
+TEST_F(CommitRound, ReadOnlyRootReusesItsOnlyChildsRound) {
+  const auto res = run_once(read_at_one_and_two);
+  EXPECT_TRUE(res.committed);
+  // The child's round began after the last fetch and found both reads
+  // current, so the commit sends nothing.
+  EXPECT_EQ(comm.trace(), kFirstChild);
+  EXPECT_EQ(metrics.snapshot().commits_read_only, 1u);
+}
+
+TEST_F(CommitRound, ChildRoundCarriesTheTreesReadsAtTheNodesItAsks) {
+  const auto res = run_once([](tfa::Txn& tx) {
+    read_at_one_and_two(tx);
+    tx.nested([](tfa::Txn& child) { (void)child.read<Box>(kAtTwo); });
+  });
+  EXPECT_TRUE(res.committed);
+  // The second child asks node 2 only, so 12 rides along and 11 does not;
+  // the commit validates 11 alone.
+  EXPECT_EQ(comm.trace(), std::string(kFirstChild) +
+                              " Object(13)>2 Validate(13@3)>2 Validate(12@3)>2"
+                              " Validate(11@3)>1");
+}
+
+TEST_F(CommitRound, RootReadAfterTheLastChildLeavesOnlyItselfUnchecked) {
+  const auto res = run_once([](tfa::Txn& tx) {
+    read_at_one_and_two(tx);
+    (void)tx.read<Box>(kAtTwo);
+  });
+  EXPECT_TRUE(res.committed);
+  // The child's round began before the root's fetch of 13, so the commit
+  // validates every read but 13, the one fetched last.
+  EXPECT_EQ(comm.trace(),
+            std::string(kFirstChild) + " Object(13)>2 Validate(11@3)>1 Validate(12@3)>2");
+}
+
+TEST_F(CommitRound, StaleRiderAbortsTheRoot) {
+  int validations_of_12 = 0;
+  comm.script = [&validations_of_12](NodeId to,
+                                     const net::Payload& p) -> std::optional<net::Payload> {
+    if (const auto* r = std::get_if<net::ValidateRequest>(&p);
+        r && r->oid == kRead && ++validations_of_12 == 2)
+      return net::ValidateResponse{r->oid, ObjectStore::ValidateResult::kInvalid};
+    return healthy(to, p);
+  };
+  const auto res = run_once([](tfa::Txn& tx) {
+    read_at_one_and_two(tx);
+    tx.nested([](tfa::Txn& child) { (void)child.read<Box>(kAtTwo); });
+  });
+  EXPECT_FALSE(res.committed);
+  // The rider is the root's entry, so it aborts at depth 0: the second child
+  // dies with its parent, and the first child's commit is rolled back.
+  EXPECT_EQ(comm.trace(),
+            std::string(kFirstChild) + " Object(13)>2 Validate(13@3)>2 Validate(12@3)>2");
+  const auto counted = metrics.snapshot();
+  EXPECT_EQ(root_aborts(AbortCause::kEarlyValidation), 1u);
+  EXPECT_EQ(counted.nested_aborts_own_cause, 0u);
+  EXPECT_EQ(counted.nested_aborts_parent_cause, 2u);
+}
+
+TEST_F(CommitRound, ChildRoundOfAWritingTreeCarriesNoRider) {
+  const auto res = run_once([](tfa::Txn& tx) {
+    tx.nested([](tfa::Txn& child) {
+      child.write<Box>(kAtOne).value += 1;
+      (void)child.read<Box>(kRead);
+    });
+    tx.nested([](tfa::Txn& child) { (void)child.read<Box>(kAtTwo); });
+  });
+  EXPECT_TRUE(res.committed);
+  // The second child asks node 2 about 13 alone, though the tree read 12
+  // there; the writer's commit locks 11 and then validates both reads.
+  EXPECT_EQ(comm.trace(), std::string(kFirstChild) +
+                              " Object(13)>2 Validate(13@3)>2"
+                              " Lock(11@3)>1 Validate(13@3)>2 Validate(12@3)>2"
+                              " Register(11:0@6)>1 async Commit(11@6:0)>1");
 }
 
 }  // namespace

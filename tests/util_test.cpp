@@ -286,6 +286,16 @@ TEST(Config, IntListParsing) {
   ASSERT_EQ(fallback.size(), 2u);
 }
 
+TEST(Config, RemembersTheKeysAskedFor) {
+  const char* argv[] = {"prog", "--nodes=4", "--duration=300", "--verbose"};
+  auto cfg = Config::from_args(4, const_cast<char**>(argv));
+  EXPECT_EQ(cfg.get_int("nodes", 0), 4);
+  EXPECT_EQ(cfg.get_int("duration-ms", 400), 400);
+  EXPECT_TRUE(cfg.has("verbose"));
+  EXPECT_EQ(cfg.asked(), (std::set<std::string>{"duration-ms", "nodes", "verbose"}));
+  EXPECT_EQ(cfg.unasked(), std::vector<std::string>{"duration"});
+}
+
 // ----------------------------------------------------------------- Time ----
 
 TEST(Time, StopwatchMonotone) {

@@ -363,12 +363,12 @@ TEST(IntSetWorkloads, SequentialRunIsPinned) {
     std::uint64_t digest;
   };
   const Pin pins[] = {
-      {"linked-list", 1, 0x344895d79ac93e55ull},
-      {"linked-list", 2, 0xadf3980fb5eda7a9ull},
-      {"bst", 1, 0x87e42895d544ae59ull},
-      {"bst", 2, 0xdb2a5f0cb31ddc37ull},
-      {"rb-tree", 1, 0xb49c8bae6b5d23a1ull},
-      {"rb-tree", 2, 0x9308712d528cadb7ull},
+      {"linked-list", 1, 0xb4621cc5772bba87ull},
+      {"linked-list", 2, 0x96a29007eae838abull},
+      {"bst", 1, 0x22204bf064f8f871ull},
+      {"bst", 2, 0x7006d52806b01c77ull},
+      {"rb-tree", 1, 0x702b515691f3b53dull},
+      {"rb-tree", 2, 0xddb9374e3468347bull},
   };
   for (const Pin& pin : pins) {
     EXPECT_EQ(sequential_digest(pin.workload, pin.seed), pin.digest)
