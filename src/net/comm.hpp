@@ -6,10 +6,10 @@
 //
 // RequestCall is the RAII handle for an outstanding request: it keeps the
 // destination and payload the request was sent with (reliable_wait resends
-// them), wait_for() waits for the next reply and abandons the call on
-// timeout (late replies become orphans, triggering the NotInterested
-// protocol), and the destructor deregisters whatever is left. Every wait is
-// bounded.
+// them), poll_for() waits for the next reply and leaves the call registered
+// on timeout, and the destructor deregisters it, so a later reply becomes an
+// orphan (a granted object's triggers the NotInterested protocol). Every
+// wait is bounded.
 #pragma once
 
 #include <cstdint>
@@ -49,18 +49,14 @@ class RequestCall {
   NodeId to() const { return to_; }
   const Payload& payload() const { return payload_; }
 
-  std::optional<Message> wait_for(SimDuration timeout) {
+  // Waits up to `timeout` for the next reply; the call stays registered on
+  // timeout, so the retry layer can re-send under the same id and poll again.
+  std::optional<Message> poll_for(SimDuration timeout) {
     return registry_->wait(call_, msg_id_, timeout);
   }
 
-  // Like wait_for(), but the call stays registered on timeout — used by the
-  // retry layer, which re-sends under the same id and polls again.
-  std::optional<Message> poll_for(SimDuration timeout) {
-    return registry_->wait(call_, msg_id_, timeout, /*abandon_on_timeout=*/false);
-  }
-
   // True once close_all() hit this call — distinguishes "cluster shutting
-  // down" from "reply genuinely lost" when wait_for() returns nothing.
+  // down" from "reply genuinely lost" when poll_for() returns nothing.
   bool closed() const {
     MutexLock lk(call_->mu);
     return call_->closed;
@@ -107,8 +103,9 @@ class Comm {
   virtual RequestCall request(NodeId to, Payload payload) = 0;
 
   // Sends a request that no pending call waits for and returns its msg_id:
-  // the reply reaches the node's handler, which passes it to the owner side
-  // (the Alg. 4 hand-off, whose record keys on the id).
+  // the reply reaches the node's handler, which passes it to the owner side's
+  // resend table (a lock release, a registration rollback or an Alg. 4
+  // hand-off, each recorded under the id).
   virtual std::uint64_t send_request(NodeId to, Payload payload) = 0;
 
   // One-way message (no reply expected).
@@ -129,7 +126,8 @@ class Comm {
   virtual void resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
                       Payload payload) = 0;
 
-  // The node's retry schedule for reliable_wait() and the hand-off resends.
+  // The node's retry schedule for reliable_wait() and the owner side's
+  // resends.
   virtual const RetryPolicy& retry_policy() const = 0;
 };
 

@@ -24,20 +24,18 @@ FaultPlan FaultPlan::from_config(const Config& cfg) {
   plan.delay_spike = sim_us(cfg.get_int("fault-delay-spike-us", plan.delay_spike / 1000));
   plan.seed = static_cast<std::uint64_t>(
       cfg.get_int("fault-seed", static_cast<std::int64_t>(plan.seed)));
-  if (cfg.has("fault-partition-end-ms")) {
-    PartitionWindow w;
-    w.start = sim_ms(cfg.get_int("fault-partition-start-ms", 0));
-    w.end = sim_ms(cfg.get_int("fault-partition-end-ms", 0));
-    w.cut = static_cast<NodeId>(cfg.get_int("fault-partition-cut", 1));
-    plan.partitions.push_back(w);
-  }
-  if (cfg.has("fault-crash-node")) {
-    CrashWindow w;
-    w.node = static_cast<NodeId>(cfg.get_int("fault-crash-node", 0));
-    w.start = sim_ms(cfg.get_int("fault-crash-start-ms", 0));
-    w.end = sim_ms(cfg.get_int("fault-crash-end-ms", 0));
-    plan.crashes.push_back(w);
-  }
+  // Every window key is read, so a caller that refuses unread keys
+  // (bench::check_args) lists them all.
+  PartitionWindow p;
+  p.start = sim_ms(cfg.get_int("fault-partition-start-ms", 0));
+  p.end = sim_ms(cfg.get_int("fault-partition-end-ms", 0));
+  p.cut = static_cast<NodeId>(cfg.get_int("fault-partition-cut", 1));
+  if (cfg.has("fault-partition-end-ms")) plan.partitions.push_back(p);
+  CrashWindow c;
+  c.node = static_cast<NodeId>(cfg.get_int("fault-crash-node", 0));
+  c.start = sim_ms(cfg.get_int("fault-crash-start-ms", 0));
+  c.end = sim_ms(cfg.get_int("fault-crash-end-ms", 0));
+  if (cfg.has("fault-crash-node")) plan.crashes.push_back(c);
   return plan;
 }
 

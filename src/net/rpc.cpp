@@ -29,42 +29,21 @@ bool PendingCalls::deliver(Message reply) {
   }
   {
     MutexLock lk(call->mu);
-    // The map entry was found, but wait() may have abandoned the call
-    // between our map lookup and here; `abandoned` is ordered by call->mu,
-    // so exactly one side claims the reply.
-    if (call->abandoned) return false;  // orphan
     call->replies.push_back(std::move(reply));
   }
   call->cv.notify_all();
   return true;
 }
 
-std::optional<Message> PendingCalls::wait(const CallPtr& call, std::uint64_t msg_id,
-                                          SimDuration timeout, bool abandon_on_timeout) {
+std::optional<Message> PendingCalls::wait(const CallPtr& call, std::uint64_t /*msg_id*/,
+                                          SimDuration timeout) {
   MutexLock lk(call->mu);
   const auto deadline = std::chrono::steady_clock::now() + to_chrono(timeout);
   bool timed_out = false;
   while (call->replies.empty() && !call->closed && !timed_out) {
     timed_out = call->cv.wait_until(lk, deadline) == std::cv_status::timeout;
   }
-  if (call->replies.empty() && !call->closed) {
-    if (!abandon_on_timeout) return std::nullopt;  // registration survives
-    // Timed out: abandon. A deliver() may be between "found the entry" and
-    // "queued the reply", so after deregistering re-check under call->mu;
-    // marking `abandoned` under the same lock closes the race where the
-    // reply lands after this re-check (it becomes an orphan at deliver()).
-    lk.unlock();
-    {
-      MutexLock map_lk(mu_);
-      calls_.erase(msg_id);
-    }
-    lk.lock();
-    if (call->replies.empty()) {
-      call->abandoned = true;
-      return std::nullopt;  // truly abandoned
-    }
-  }
-  if (call->replies.empty()) return std::nullopt;  // closed
+  if (call->replies.empty()) return std::nullopt;  // timed out, or closed
   Message out = std::move(call->replies.front());
   call->replies.pop_front();
   return out;

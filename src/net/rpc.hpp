@@ -8,8 +8,8 @@
 // (Alg. 3) answers immediately ("enqueued, backoff=B"), and the eventual
 // object hand-off (Alg. 4) arrives later — possibly from a different node
 // (the committer that became the new owner). A call therefore holds a queue
-// of replies and stays registered until the caller calls done(), abandons it
-// by timing out, or the cluster shuts down.
+// of replies and stays registered until the caller calls done() or the
+// cluster shuts down; a wait that times out leaves it registered.
 //
 // A reply that finds no registered call is an *orphan*; for a granted
 // object this triggers the paper's "not interested → forward to the next
@@ -36,10 +36,6 @@ class PendingCalls {
     std::condition_variable_any cv;
     std::deque<Message> replies GUARDED_BY(mu);
     bool closed GUARDED_BY(mu) = false;
-    // Set (under mu) when a timeout abandoned the call. deliver() re-checks
-    // it after queueing so a reply racing the abandon is either returned by
-    // wait() or reported as an orphan — never both, never neither.
-    bool abandoned GUARDED_BY(mu) = false;
   };
   using CallPtr = std::shared_ptr<CallState>;
 
@@ -49,18 +45,15 @@ class PendingCalls {
   CallPtr open(std::uint64_t msg_id);
 
   // Routes a reply to its call. Returns false if no call is registered
-  // (abandoned or finished) — the caller owns the orphan protocol.
+  // (finished) — the caller owns the orphan protocol.
   bool deliver(Message reply);
 
   // Blocks until a reply is queued, the timeout expires, or close_all();
-  // every wait is bounded, so a lost reply cannot hang its caller.
-  // With `abandon_on_timeout` (the default), a timeout abandons the call:
-  // it is deregistered and any future reply becomes an orphan; if a reply
-  // slipped in during the abandon race it is returned instead. With it
-  // false the registration survives the timeout — the retry layer re-sends
-  // under the same id and waits again.
-  std::optional<Message> wait(const CallPtr& call, std::uint64_t msg_id, SimDuration timeout,
-                              bool abandon_on_timeout = true);
+  // every wait is bounded, so a lost reply cannot hang its caller. The
+  // registration survives a timeout: the retry layer re-sends under the
+  // same id and waits again. rtsbench's network echo still passes the
+  // call's `msg_id`; it is ignored.
+  std::optional<Message> wait(const CallPtr& call, std::uint64_t msg_id, SimDuration timeout);
 
   // Deregisters a call whose final reply has been consumed.
   void done(std::uint64_t msg_id);

@@ -27,8 +27,9 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
     });
   }
   // Expire unacknowledged Alg. 4 grants on every node, so a dropped grant
-  // re-serves the queue instead of stranding it, and resend overdue
-  // hand-offs, so a dropped CommitRequest or reply still moves the queue.
+  // re-serves the queue instead of stranding it, and resend every overdue
+  // release, rollback and hand-off, so a dropped request or answer still
+  // frees the lock, fixes the directory or moves the queue.
   network_->set_tick(sim_ms(1), [this](SimTime now) {
     for (auto& n : nodes_) n->owner().sweep(now);
   });
@@ -81,20 +82,21 @@ void Cluster::stop_workers() {
   for (auto& w : workers_) w.request_stop();
   workers_.clear();  // joins
   // Drain in-flight messages (ownership transfers, unlock notifications) so
-  // post-run audits see a quiescent, consistent cluster. A hand-off whose
-  // CommitRequest or reply was lost waits for the sweep's resend; the sweep
-  // gives it up when its retry budget runs out, so the loop ends.
+  // post-run audits see a quiescent, consistent cluster. A release, rollback
+  // or hand-off whose request or answer was lost waits for the sweep's
+  // resend; the sweep gives it up when its retry budget runs out, so the
+  // loop ends.
   network_->wait_idle();
-  while (pending_handoffs() > 0) {
+  while (unanswered_requests() > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     network_->wait_idle();
   }
 }
 
-std::size_t Cluster::pending_handoffs() {
-  std::size_t pending = 0;
-  for (auto& n : nodes_) pending += n->owner().pending_handoffs();
-  return pending;
+std::size_t Cluster::unanswered_requests() {
+  std::size_t unanswered = 0;
+  for (auto& n : nodes_) unanswered += n->owner().unanswered_requests();
+  return unanswered;
 }
 
 tfa::RunResult Cluster::execute(NodeId node_id, std::uint32_t profile,

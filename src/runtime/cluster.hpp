@@ -57,8 +57,8 @@ class Cluster {
 
   // ---- workload driving ----
   void start_workers(workloads::Workload& workload);
-  // Joins the workers, if any, then drains the network and every pending
-  // hand-off, so audits see a quiescent cluster.
+  // Joins the workers, if any, then drains the network and the nodes'
+  // resend tables, so audits see a quiescent cluster.
   void stop_workers();
 
   // Runs one transaction synchronously on `node` (examples/tests).
@@ -69,8 +69,9 @@ class Cluster {
   // live, not just after stop_workers().
   MetricsSnapshot total_metrics() const;
 
-  // Hand-offs whose reply has not arrived yet, summed over the nodes.
-  std::size_t pending_handoffs();
+  // Requests in the nodes' resend tables (lock releases, registration
+  // rollbacks and hand-offs) still unanswered, summed over the nodes.
+  std::size_t unanswered_requests();
 
   // Stops workers and drains (stop_workers), unblocks pending calls, stops
   // the network.

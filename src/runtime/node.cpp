@@ -68,14 +68,9 @@ void Node::resend(NodeId to, std::uint64_t msg_id, std::uint32_t attempt,
 void Node::handle_message(net::Message msg) {
   clock_.advance_to(msg.sender_clock);  // Lamport receive rule
   if (msg.reply_to != 0) {
-    if (pending_.deliver(msg)) return;
-    // No call awaits it: the reply to a hand-off the owner side sent, or
-    // an orphan.
-    if (std::holds_alternative<net::CommitResponse>(msg.payload)) {
-      owner_.handoff_reply(msg);
-    } else {
-      runtime_.handle_orphan_reply(msg);
-    }
+    // No call awaits it: the answer to a request in the owner side's resend
+    // table, or an orphan.
+    if (!pending_.deliver(msg) && !owner_.take_reply(msg)) runtime_.handle_orphan_reply(msg);
     return;
   }
   const auto seen = reply_cache_.admit(msg.msg_id);

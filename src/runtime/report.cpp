@@ -15,13 +15,13 @@ ClusterReport collect_report(Cluster& cluster) {
     nr.owned_objects = node.owner().owned_objects();
     nr.queued_requesters = node.owner().queued_requesters();
     nr.locked_slots = node.owner().locked_slots();
-    nr.pending_handoffs = node.owner().pending_handoffs();
+    nr.unanswered_requests = node.owner().unanswered_requests();
     nr.clock = node.clock().read();
     report.totals += nr.metrics;
     report.total_objects += nr.owned_objects;
     report.queued_requesters += nr.queued_requesters;
     report.locked_slots += nr.locked_slots;
-    report.pending_handoffs += nr.pending_handoffs;
+    report.unanswered_requests += nr.unanswered_requests;
     report.nodes.push_back(std::move(nr));
   }
   const auto& stats = cluster.network().stats();
@@ -62,8 +62,8 @@ std::string ClusterReport::to_string() const {
                 static_cast<unsigned long long>(totals.nested_commits),
                 totals.nested_abort_rate() * 100.0, total_objects);
   os << line;
-  std::snprintf(line, sizeof(line), "quiesce parked=%zu locked=%zu pending-handoffs=%zu\n",
-                queued_requesters, locked_slots, pending_handoffs);
+  std::snprintf(line, sizeof(line), "quiesce parked=%zu locked=%zu unanswered-requests=%zu\n",
+                queued_requesters, locked_slots, unanswered_requests);
   os << line;
   std::snprintf(line, sizeof(line), "network messages=%llu bytes=%llu object-payloads=%llu\n",
                 static_cast<unsigned long long>(messages),

@@ -17,7 +17,7 @@ struct NodeReport {
   std::size_t owned_objects = 0;
   std::size_t queued_requesters = 0;
   std::size_t locked_slots = 0;
-  std::size_t pending_handoffs = 0;
+  std::size_t unanswered_requests = 0;
   std::uint64_t clock = 0;
 };
 
@@ -30,10 +30,10 @@ struct ClusterReport {
   std::uint64_t dropped_on_stop = 0;
   std::size_t total_objects = 0;
   // The quiesce audit, summed over the nodes: requesters still parked,
-  // slots still locked and hand-offs still pending.
+  // slots still locked and resend-table requests still unanswered.
   std::size_t queued_requesters = 0;
   std::size_t locked_slots = 0;
-  std::size_t pending_handoffs = 0;
+  std::size_t unanswered_requests = 0;
   // Injected-fault totals (all zero when fault injection is off).
   std::uint64_t faults_dropped = 0;
   std::uint64_t faults_duplicated = 0;

@@ -38,37 +38,41 @@ void OwnerCore::handle(const net::Message& msg) {
   HYFLOW_WARN("unhandled request payload: ", net::payload_name(msg.payload));
 }
 
-void OwnerCore::handoff_reply(const net::Message& reply) {
+bool OwnerCore::take_reply(const net::Message& reply) {
   MutexLock lk(mu_);
-  const auto it = handoffs_.find(reply.reply_to);
-  if (it == handoffs_.end()) return;
-  const ObjectId oid = it->second.req.oid;
-  handoffs_.erase(it);
-  // Alg. 4: the node invoking the committed transaction receives the
-  // requester lists.
-  scheduler_.absorb_queue(oid, std::get<net::CommitResponse>(reply.payload).queue);
-  serve_waiters(oid);
+  const auto it = unanswered_.find(reply.reply_to);
+  if (it == unanswered_.end()) return false;
+  const ObjectId oid = it->second.oid;
+  unanswered_.erase(it);
+  if (const auto* resp = std::get_if<net::CommitResponse>(&reply.payload)) {
+    // Alg. 4: the node invoking the committed transaction receives the
+    // requester lists.
+    scheduler_.absorb_queue(oid, resp->queue);
+    serve_waiters(oid);
+  }
+  return true;
 }
 
 void OwnerCore::sweep(SimTime now) {
   MutexLock lk(mu_);
-  // The hand-off must survive message loss: without it the old owner's copy
-  // stays locked and its parked requesters are stranded. The old owner's
-  // reply cache answers a resent CommitRequest with the queue captured at
+  // A request lost for good strands state at its destination: a held lock,
+  // the old owner's locked copy and its parked requesters, or a directory
+  // naming this node. The receiver's reply cache answers a resend with the
+  // first copy's reply, so a resent CommitRequest gets the queue captured at
   // the real hand-over, never an empty one.
   const net::RetryPolicy policy = comm_.retry_policy().scaled(3);
-  for (auto it = handoffs_.begin(); it != handoffs_.end();) {
-    PendingHandoff& h = it->second;
-    if (h.deadline > now) {
+  for (auto it = unanswered_.begin(); it != unanswered_.end();) {
+    Unanswered& u = it->second;
+    if (u.deadline > now) {
       ++it;
-    } else if (h.attempt == static_cast<std::uint32_t>(policy.max_retries)) {
-      HYFLOW_WARN("commit hand-off of object ", h.req.oid.value, " to node ", comm_.self(),
-                  " unacknowledged; old owner copy stays locked");
-      it = handoffs_.erase(it);
+    } else if (u.attempt == static_cast<std::uint32_t>(policy.max_retries)) {
+      HYFLOW_WARN(net::payload_name(u.req), " of object ", u.oid.value, " to node ", u.to,
+                  " unanswered; given up");
+      it = unanswered_.erase(it);
     } else {
-      ++h.attempt;
-      comm_.resend(h.to, it->first, h.attempt, h.req);
-      h.deadline = now + policy.timeout_for(static_cast<int>(h.attempt), it->first);
+      ++u.attempt;
+      comm_.resend(u.to, it->first, u.attempt, u.req);
+      u.deadline = now + policy.timeout_for(static_cast<int>(u.attempt), it->first);
       ++it;
     }
   }
@@ -185,8 +189,8 @@ void OwnerCore::on_commit(const net::Message& msg) {
 
 void OwnerCore::on_abort_unlock(const net::Message& msg) {
   const auto& req = std::get<net::AbortUnlock>(msg.payload);
-  // Acknowledge so the releaser's retry loop stops (the reply to a legacy
-  // one-way post is dropped as an uninteresting orphan).
+  // Acknowledge so the releaser drops the request from its resend table
+  // (the reply to a one-way post is dropped as an uninteresting orphan).
   comm_.reply(msg, net::Ack{req.oid});
   release_and_serve(req.oid, req.txid);
 }
@@ -252,9 +256,16 @@ dsm::ObjectStore::LockResult OwnerCore::lock(ObjectId oid, TxnId txid,
   return store_.lock(oid, txid, expected_clock);
 }
 
-void OwnerCore::release(ObjectId oid, TxnId txid) {
+void OwnerCore::release(ObjectId oid, TxnId txid, NodeId owner) {
   MutexLock lk(mu_);
-  release_and_serve(oid, txid);
+  if (owner == comm_.self()) return release_and_serve(oid, txid);
+  send_recorded(owner, oid, net::AbortUnlock{oid, txid});
+}
+
+void OwnerCore::roll_back_registration(ObjectId oid, NodeId owner, std::uint64_t clock) {
+  MutexLock lk(mu_);
+  send_recorded(dsm::home_node(oid, comm_.cluster_size()), oid,
+                net::RegisterOwnerRequest{oid, owner, clock});
 }
 
 void OwnerCore::commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object,
@@ -281,12 +292,9 @@ void OwnerCore::commit_handoff(NodeId old_owner, TxnId txid, ObjectSnapshot obje
   req.new_version = version;
   req.new_owner = comm_.self();
   // Install first: the directory already points here, so the new copy must
-  // be servable before the old owner's slot goes away. The reply needs this
-  // mutex, so it cannot overtake the record.
+  // be servable before the old owner's slot goes away.
   store_.install(std::move(object), version);
-  const std::uint64_t id = comm_.send_request(old_owner, req);
-  handoffs_[id] =
-      PendingHandoff{old_owner, req, 0, sim_now() + comm_.retry_policy().timeout_for(0, id)};
+  send_recorded(old_owner, req.oid, req);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,9 +335,9 @@ std::size_t OwnerCore::locked_slots() {
   return locked;
 }
 
-std::size_t OwnerCore::pending_handoffs() {
+std::size_t OwnerCore::unanswered_requests() {
   MutexLock lk(mu_);
-  return handoffs_.size();
+  return unanswered_.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -343,6 +351,13 @@ void OwnerCore::release_and_serve(ObjectId oid, TxnId txid) {
   // "If Tk aborts, the objects that Tk is using will be released, and the
   // other transactions will obtain the objects." (§III-A)
   serve_waiters(oid);
+}
+
+void OwnerCore::send_recorded(NodeId to, ObjectId oid, net::Payload req) {
+  // The answer needs this mutex, so it cannot overtake the record.
+  const std::uint64_t id = comm_.send_request(to, req);
+  const SimTime deadline = sim_now() + comm_.retry_policy().timeout_for(0, id);
+  unanswered_[id] = Unanswered{to, oid, std::move(req), 0, deadline};
 }
 
 void OwnerCore::serve_waiters(ObjectId oid) {

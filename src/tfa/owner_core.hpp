@@ -3,18 +3,23 @@
 // every step that reads or changes it.
 //
 // OwnerCore owns the node's object store, directory shard, scheduler,
-// contention tracker, owner hints, outstanding Alg. 4 grants and hand-offs
+// contention tracker, owner hints, outstanding Alg. 4 grants, resend table
 // and lock-hold estimate, all behind one owner mutex. Each public method is
 // one owner step: it holds the mutex from its first read to its last state
 // change and sends its requests, replies, grants and posts through net::Comm
 // under that hold. No step waits for a reply, so a step never blocks on
 // another node.
 //
-// The steps are the nine request handlers (handle), the hand-off reply, the
-// sweep (grant recovery and hand-off resends), the requester path's local
-// steps (a local lock, validation or release runs the same code as the
-// handler of the matching request; a commit installs its new copies here)
-// and the placement and audit calls of the cluster and the reports.
+// The resend table holds every request that no transaction waits for: a
+// failed commit's lock releases and registration rollbacks, and the Alg. 4
+// CommitRequests. Each only repairs state at another node, so the sweep
+// resends it until its answer arrives or its budget is spent.
+//
+// The steps are the nine request handlers (handle), the answer to a request
+// in the resend table, the sweep (grant recovery and resends), the requester
+// path's local steps (a local lock, validation or release runs the same code
+// as the handler of the matching request; a commit installs its new copies
+// here) and the placement and audit calls of the cluster and the reports.
 // docs/CONCURRENCY.md states the rule.
 #pragma once
 
@@ -53,15 +58,17 @@ class OwnerCore {
   // NotInterested or GrantAck.
   void handle(const net::Message& msg) EXCLUDES(mu_);
 
-  // The old owner's reply to a hand-off this node sent (commit_handoff):
-  // absorbs the requester queue it returns and serves it. A replayed or
-  // duplicated reply finds no record and changes nothing.
-  void handoff_reply(const net::Message& reply) EXCLUDES(mu_);
+  // The answer to a request in the resend table: drops its record and, for
+  // a CommitResponse, absorbs the requester queue the old owner returns and
+  // serves it. False if no record matches (an orphan, or a duplicated or
+  // replayed answer), and then it changes nothing.
+  bool take_reply(const net::Message& reply) EXCLUDES(mu_);
 
   // Grant-loss recovery: forgets every Alg. 4 grant whose GrantAck is overdue
-  // at `now` and serves the object's queue again. Hand-off recovery: resends
-  // every overdue CommitRequest under its msg_id, on the schedule of
-  // retry_policy().scaled(3), and drops the record once that budget is spent.
+  // at `now` and serves the object's queue again. Resends every overdue
+  // request in the resend table under its msg_id, on the schedule of
+  // retry_policy().scaled(3), and drops the record with a warning once that
+  // budget is spent.
   void sweep(SimTime now) EXCLUDES(mu_);
 
   // ---- the requester path's local steps ----
@@ -78,8 +85,15 @@ class OwnerCore {
       EXCLUDES(mu_);
   dsm::ObjectStore::LockResult lock(ObjectId oid, TxnId txid, std::uint64_t expected_clock)
       EXCLUDES(mu_);
-  // Releases `txid`'s commit lock and serves the object's queue.
-  void release(ObjectId oid, TxnId txid) EXCLUDES(mu_);
+  // Releases `txid`'s commit lock on `oid` at `owner`: in place, serving the
+  // object's queue, if `owner` is this node, else by an AbortUnlock recorded
+  // in the resend table.
+  void release(ObjectId oid, TxnId txid, NodeId owner) EXCLUDES(mu_);
+  // Undoes this node's registration of `oid` at `clock`: sends the home node
+  // a RegisterOwnerRequest naming `owner` at the same clock, which the
+  // directory accepts, recorded in the resend table.
+  void roll_back_registration(ObjectId oid, NodeId owner, std::uint64_t clock)
+      EXCLUDES(mu_);
   // A commit by the owner itself: publishes the new copy in place, which
   // releases the lock, and serves the queue.
   void commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object, Version version)
@@ -87,8 +101,9 @@ class OwnerCore {
   // Initial placement: this node now owns `object`.
   void install(ObjectSnapshot object, Version version) EXCLUDES(mu_);
   // A commit that moves `object` here from `old_owner` (Alg. 4): installs
-  // the new copy, sends the old owner its CommitRequest and records it until
-  // the reply brings the old owner's requester queue (handoff_reply).
+  // the new copy and sends the old owner its CommitRequest, recorded in the
+  // resend table until the reply brings the old owner's requester queue
+  // (take_reply).
   void commit_handoff(NodeId old_owner, TxnId txid, ObjectSnapshot object, Version version)
       EXCLUDES(mu_);
 
@@ -103,8 +118,8 @@ class OwnerCore {
   std::size_t queued_requesters() EXCLUDES(mu_);
   // Owned slots still locked by a commit.
   std::size_t locked_slots() EXCLUDES(mu_);
-  // Hand-offs whose reply has not arrived yet.
-  std::size_t pending_handoffs() EXCLUDES(mu_);
+  // Requests in the resend table: sent, and neither answered nor given up.
+  std::size_t unanswered_requests() EXCLUDES(mu_);
 
   // ---- unlocked views, for tests and reads after the cluster quiesced ----
   dsm::ObjectStore& store() NO_THREAD_SAFETY_ANALYSIS { return store_; }
@@ -127,6 +142,8 @@ class OwnerCore {
 
   // The release step shared by on_abort_unlock and release().
   void release_and_serve(ObjectId oid, TxnId txid) REQUIRES(mu_);
+  // Sends `req` about `oid` to `to` and records it in the resend table.
+  void send_recorded(NodeId to, ObjectId oid, net::Payload req) REQUIRES(mu_);
   // Pushes the current copy of `oid` to the scheduler's head group.
   void serve_waiters(ObjectId oid) REQUIRES(mu_);
   void send_grant(const net::QueuedRequester& to, ObjectId oid, const ObjectSnapshot& obj,
@@ -160,15 +177,15 @@ class OwnerCore {
   };
   std::map<std::pair<std::uint64_t, std::uint64_t>, PendingGrant> grants_ GUARDED_BY(mu_);
 
-  // Alg. 4 hand-offs awaiting the old owner's reply, keyed by the
-  // CommitRequest's msg_id.
-  struct PendingHandoff {
+  // The resend table: requests awaiting their answer, keyed by msg_id.
+  struct Unanswered {
     NodeId to = kInvalidNode;
-    net::CommitRequest req;
+    ObjectId oid;
+    net::Payload req;
     std::uint32_t attempt = 0;  // resends so far
     SimTime deadline = 0;
   };
-  std::map<std::uint64_t, PendingHandoff> handoffs_ GUARDED_BY(mu_);
+  std::map<std::uint64_t, Unanswered> unanswered_ GUARDED_BY(mu_);
 };
 
 }  // namespace hyflow::tfa

@@ -318,9 +318,10 @@ void TfaRuntime::run_round(std::vector<RoundItem>& items, const Round& round) {
   for (RoundItem& it : items) {
     if (!it.call) continue;
     const auto reply = net::reliable_wait(comm_, *it.call, round.policy);
-    const AbortCause cause = reply ? AbortCause::kNone : empty_wait_cause(*it.call);
+    // A silent item keeps its call through the clean-up, which treats it
+    // like the round's other outstanding calls.
+    if (!reply) round.fail(empty_wait_cause(*it.call), it);
     it.call.reset();
-    if (!reply) round.fail(cause, it);
     round.verdict(it, reply->payload);
     it.done = true;
   }
@@ -381,8 +382,9 @@ void TfaRuntime::lock_write_set(TxnId txid, std::vector<RoundItem>& writes) {
   // resolved by abort.
   const auto fail = [&](AbortCause cause, const RoundItem&) {
     // Collect outstanding grants before releasing, so no lock leaks. A call
-    // that stays silent is treated as granted: the pessimistic unlock it
-    // triggers is a no-op if the lock was never taken.
+    // that stays silent, the one whose budget ran out included, is treated
+    // as granted: the pessimistic unlock it triggers is a no-op if the lock
+    // was never taken. The releases go out at once; none waits.
     for (RoundItem& w : writes) {
       if (!w.call) continue;
       if (auto reply = w.call->poll_for(comm_.retry_policy().base_timeout)) {
@@ -394,7 +396,7 @@ void TfaRuntime::lock_write_set(TxnId txid, std::vector<RoundItem>& writes) {
       w.call.reset();
     }
     for (const RoundItem& w : writes)
-      if (w.done) release_lock(w.oid, txid, w.target);
+      if (w.done) owner_.release(w.oid, txid, w.target);
     abort_txn(cause, 0);
   };
   run_round(writes, {
@@ -426,16 +428,14 @@ void TfaRuntime::register_write_set(TxnId txid, const std::vector<RoundItem>& wr
   // gets a request too: registration has no local step.
   const auto fail = [&](AbortCause cause, const RoundItem& it) {
     // Roll every possibly-applied registration back to the previous owner at
-    // the same clock (register_owner accepts equal clocks), then unlock.
+    // the same clock, then unlock. Neither waits: the owner side resends
+    // both until they are answered.
     if (cause == AbortCause::kWatchdog) {
       HYFLOW_WARN("ownership registration of object ", it.oid.value,
                   " timed out; rolling back the registered set");
-      for (const RoundItem& w : writes) {
-        if (w.target == comm_.self()) continue;  // owner unchanged
-        net::RegisterOwnerRequest undo{w.oid, w.target, commit_clock};
-        auto call = comm_.request(dsm::home_node(w.oid, comm_.cluster_size()), undo);
-        net::reliable_wait(comm_, call, comm_.retry_policy());
-      }
+      for (const RoundItem& w : writes)
+        if (w.target != comm_.self())  // else the owner is unchanged
+          owner_.roll_back_registration(w.oid, w.target, commit_clock);
     }
     release_locks(txid, writes);
     abort_txn(cause, 0);
@@ -462,21 +462,7 @@ void TfaRuntime::register_write_set(TxnId txid, const std::vector<RoundItem>& wr
 }
 
 void TfaRuntime::release_locks(TxnId txid, const std::vector<RoundItem>& writes) {
-  for (const RoundItem& w : writes) release_lock(w.oid, txid, w.target);
-}
-
-void TfaRuntime::release_lock(ObjectId oid, TxnId txid, NodeId owner) {
-  if (owner == comm_.self()) return owner_.release(oid, txid);
-  // Acked, retried release: a lost AbortUnlock would leave the object
-  // locked at the owner with nobody left to unlock it.
-  net::AbortUnlock msg;
-  msg.oid = oid;
-  msg.txid = txid;
-  auto call = comm_.request(owner, msg);
-  if (!net::reliable_wait(comm_, call, comm_.retry_policy()) && !call.closed()) {
-    HYFLOW_WARN("abort-unlock of object ", oid.value, " at node ", owner,
-                " unacknowledged; lock release outcome unknown");
-  }
+  for (const RoundItem& w : writes) owner_.release(w.oid, txid, w.target);
 }
 
 void TfaRuntime::publish_write_set(Transaction& root, const std::vector<RoundItem>& writes,

@@ -118,7 +118,7 @@ class TfaRuntime {
   // Commit protocol for the root; throws AbortException on failure.
   void commit_root(Transaction& root);
 
-  // A granted object arrived for an abandoned call: tell the sender we are
+  // A granted object arrived for a call that has ended: tell the sender we are
   // no longer interested so it forwards the object to the next requester.
   void handle_orphan_reply(const net::Message& msg);
 
@@ -184,10 +184,9 @@ class TfaRuntime {
   // On a timeout: rolls the set back, releases the locks and aborts.
   void register_write_set(TxnId txid, const std::vector<RoundItem>& writes,
                           std::uint64_t commit_clock);
+  // Releases every lock of the set: in place where this node owns the
+  // object, else by an AbortUnlock the owner side resends until answered.
   void release_locks(TxnId txid, const std::vector<RoundItem>& writes);
-  // Releases a commit lock at `owner`: a local owner step, or a reliable
-  // AbortUnlock (a lost release would wedge the object at the owner).
-  void release_lock(ObjectId oid, TxnId txid, NodeId owner);
   // Installs the new copies: in place, or by a hand-off step that sends the
   // old owner its CommitRequest without waiting for the reply.
   void publish_write_set(Transaction& root, const std::vector<RoundItem>& writes,

@@ -191,9 +191,11 @@ void run_bank_chaos(const net::FaultPlan& plan, SimDuration warmup, SimDuration 
   const std::string report = result.report.to_string();
   EXPECT_GT(result.delta.commits_root, 0u) << "no progress under faults\n" << report;
   EXPECT_TRUE(result.verified) << "conservation violated under faults\n" << report;
-  // The sweep resent every lost CommitRequest or reply until the hand-off
-  // completed, and the old owner evicted its locked copy.
-  EXPECT_EQ(result.report.pending_handoffs, 0u) << "a hand-off outlived the drain\n" << report;
+  // The sweep resent every lost release, rollback and hand-off, or its
+  // answer, until it was answered: the locks are free and the old owners
+  // evicted their locked copies.
+  EXPECT_EQ(result.report.unanswered_requests, 0u)
+      << "a release, rollback or hand-off outlived the drain\n" << report;
   EXPECT_EQ(result.report.locked_slots, 0u) << "a lock outlived its commit\n" << report;
   // A committer's clock has passed every clock registered for an object it
   // registers, so no home node refuses it (docs/PROTOCOL.md).

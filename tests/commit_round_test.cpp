@@ -237,7 +237,7 @@ TEST_F(CommitRound, CleanCommitSendsEachRoundTogether) {
   EXPECT_EQ(clock.read(), kCommitClock);
   EXPECT_FALSE(locally_locked());
   EXPECT_EQ(owner.store().get(kLocal)->version, (Version{kCommitClock, 0}));
-  EXPECT_EQ(owner.pending_handoffs(), 2u);
+  EXPECT_EQ(owner.unanswered_requests(), 2u);
   EXPECT_EQ(metrics.snapshot().commits_write, 1u);
 }
 
@@ -253,7 +253,7 @@ TEST_F(CommitRound, BusyLockReleasesTheGrantedLocks) {
   // Node 2 granted its lock, so it alone gets an AbortUnlock; node 0's lock
   // is released in place.
   EXPECT_EQ(comm.trace(),
-            std::string(kOpens) + " Lock(11@3)>1 Lock(13@3)>2 AbortUnlock(13)>2");
+            std::string(kOpens) + " Lock(11@3)>1 Lock(13@3)>2 async AbortUnlock(13)>2");
   EXPECT_FALSE(locally_locked());
 }
 
@@ -268,7 +268,7 @@ TEST_F(CommitRound, StaleReadReleasesEveryLockAndRegistersNothing) {
   EXPECT_EQ(root_aborts(AbortCause::kEarlyValidation), 1u);
   EXPECT_EQ(comm.trace(), std::string(kOpens) +
                               " Lock(11@3)>1 Lock(13@3)>2 Validate(12@3)>2"
-                              " AbortUnlock(11)>1 AbortUnlock(13)>2");
+                              " async AbortUnlock(11)>1 async AbortUnlock(13)>2");
   EXPECT_FALSE(locally_locked());
 }
 
@@ -285,7 +285,7 @@ TEST_F(CommitRound, NotOwnerLockReplyAbortsAsEarlyValidation) {
   // copy read is stale: no directory trip, no second pass. Node 2 granted
   // its lock, so it alone gets an AbortUnlock.
   EXPECT_EQ(comm.trace(),
-            std::string(kOpens) + " Lock(11@3)>1 Lock(13@3)>2 AbortUnlock(13)>2");
+            std::string(kOpens) + " Lock(11@3)>1 Lock(13@3)>2 async AbortUnlock(13)>2");
   EXPECT_EQ(metrics.snapshot().wrong_owner_retries, 0u);
   EXPECT_FALSE(locally_locked());
 }
@@ -301,7 +301,23 @@ TEST_F(CommitRound, NotOwnerValidateReplyAbortsAsEarlyValidation) {
   EXPECT_EQ(root_aborts(AbortCause::kEarlyValidation), 1u);
   EXPECT_EQ(comm.trace(), std::string(kOpens) +
                               " Lock(11@3)>1 Lock(13@3)>2 Validate(12@3)>2"
-                              " AbortUnlock(11)>1 AbortUnlock(13)>2");
+                              " async AbortUnlock(11)>1 async AbortUnlock(13)>2");
+  EXPECT_FALSE(locally_locked());
+}
+
+TEST_F(CommitRound, SilentLockIsReleasedToo) {
+  // Node 1 never answers a lock request. Its lock may have been taken with
+  // only the answers lost, so it is released with the granted one.
+  comm.script = [](NodeId to, const net::Payload& p) -> std::optional<net::Payload> {
+    if (std::holds_alternative<net::LockRequest>(p) && to == 1) return std::nullopt;
+    return healthy(to, p);
+  };
+  const auto res = run_root_once();
+  EXPECT_FALSE(res.committed);
+  EXPECT_EQ(root_aborts(AbortCause::kWatchdog), 1u);
+  EXPECT_EQ(comm.trace(), std::string(kOpens) +
+                              " Lock(11@3)>1 Lock(13@3)>2 resend Lock(11@3)>1"
+                              " async AbortUnlock(11)>1 async AbortUnlock(13)>2");
   EXPECT_FALSE(locally_locked());
 }
 
@@ -318,14 +334,15 @@ TEST_F(CommitRound, SilentRegistrationRollsBackThenUnlocks) {
   EXPECT_EQ(root_aborts(AbortCause::kWatchdog), 1u);
   EXPECT_EQ(metrics.snapshot().watchdog_aborts, 1u);
   // The first registration is resent on the x3 budget (three resends), then
-  // every moved object's registration is undone at the same clock.
+  // every moved object's registration is undone at the same clock. The
+  // rollbacks and releases go out at once: the owner side resends them.
   EXPECT_EQ(comm.trace(), std::string(kOpens) +
                               " Lock(11@3)>1 Lock(13@3)>2 Validate(12@3)>2"
                               " Register(9:0@6)>0 Register(11:0@6)>1 Register(13:0@6)>3"
                               " resend Register(9:0@6)>0 resend Register(9:0@6)>0"
                               " resend Register(9:0@6)>0"
-                              " Register(11:1@6)>1 Register(13:2@6)>3"
-                              " AbortUnlock(11)>1 AbortUnlock(13)>2");
+                              " async Register(11:1@6)>1 async Register(13:2@6)>3"
+                              " async AbortUnlock(11)>1 async AbortUnlock(13)>2");
   EXPECT_FALSE(locally_locked());
 }
 

@@ -34,7 +34,7 @@ TEST_F(NodePair, RequestReplyRoundTrip) {
   // Use the directory protocol as a ready-made request/reply pair.
   cluster->node(1).directory().publish(ObjectId{50}, 2);
   auto call = cluster->node(0).request(1, net::FindOwnerRequest{ObjectId{50}});
-  const auto reply = call.wait_for(sim_ms(500));
+  const auto reply = call.poll_for(sim_ms(500));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->from, 1u);
   EXPECT_EQ(reply->to, 0u);
@@ -45,7 +45,7 @@ TEST_F(NodePair, RequestReplyRoundTrip) {
 
 TEST_F(NodePair, RequestToUnknownObjectSaysUnknown) {
   auto call = cluster->node(0).request(1, net::FindOwnerRequest{ObjectId{51}});
-  const auto reply = call.wait_for(sim_ms(500));
+  const auto reply = call.poll_for(sim_ms(500));
   ASSERT_TRUE(reply.has_value());
   EXPECT_FALSE(std::get<net::FindOwnerResponse>(reply->payload).known);
 }
@@ -65,7 +65,7 @@ TEST_F(NodePair, EnvelopeCarriesSenderClock) {
   ASSERT_LT(cluster->node(0).clock().read(), clock2);
   // Any request/response pair with node 2 synchronises node 0.
   auto call = cluster->node(0).request(2, net::FindOwnerRequest{ObjectId{52}});
-  ASSERT_TRUE(call.wait_for(sim_ms(500)).has_value());
+  ASSERT_TRUE(call.poll_for(sim_ms(500)).has_value());
   EXPECT_GE(cluster->node(0).clock().read(), clock2);
 }
 
@@ -90,7 +90,7 @@ TEST_F(NodePair, RoutedReplyReachesForeignCall) {
   grant.txid = TxnId{7};
   grant.object = std::make_shared<Box>(ObjectId{54}, 5);
   cluster->node(2).reply_routed(/*to=*/0, call.id(), grant);
-  const auto got = call.wait_for(sim_ms(500));
+  const auto got = call.poll_for(sim_ms(500));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->from, 2u);  // the answer came from the third party
   const auto& resp = std::get<net::ObjectResponse>(got->payload);
@@ -99,7 +99,7 @@ TEST_F(NodePair, RoutedReplyReachesForeignCall) {
 }
 
 TEST_F(NodePair, OrphanGrantTriggersNotInterestedForwarding) {
-  // A granted object whose requester abandoned its call must flow to the
+  // A granted object whose requester stopped waiting must flow to the
   // next queued requester. Drive the real path: two transactions race for
   // an object under validation with RTS; one expires its backoff.
   ClusterConfig cfg;
@@ -160,7 +160,7 @@ TEST_F(NodePair, WithdrawalFollowsTheQueueToTheNewOwner) {
   req.txid = waiter;
   req.mode = net::AccessMode::kWrite;
   auto parked = c.node(2).request(0, req);
-  const auto park_reply = parked.wait_for(sim_ms(500));
+  const auto park_reply = parked.poll_for(sim_ms(500));
   ASSERT_TRUE(park_reply.has_value());
   ASSERT_TRUE(std::get<net::ObjectResponse>(park_reply->payload).enqueued);
 
@@ -173,7 +173,7 @@ TEST_F(NodePair, WithdrawalFollowsTheQueueToTheNewOwner) {
   commit.new_version = committed;
   commit.new_owner = 1;
   auto handoff = c.node(1).request(0, commit);
-  const auto handoff_reply = handoff.wait_for(sim_ms(500));
+  const auto handoff_reply = handoff.poll_for(sim_ms(500));
   ASSERT_TRUE(handoff_reply.has_value());
   c.node(1).store().install(std::make_shared<Box>(oid, 2), committed);
   c.node(1).scheduler().absorb_queue(
@@ -200,7 +200,7 @@ TEST_F(NodePair, WithdrawalForwardingStopsOnAHintCycle) {
     notice.txid = TxnId::make(to, 1);
     notice.new_owner = to;
     auto call = cluster->node(2).request(at, notice);
-    ASSERT_TRUE(call.wait_for(sim_ms(500)).has_value());
+    ASSERT_TRUE(call.poll_for(sim_ms(500)).has_value());
   }
 
   cluster->node(2).post(0, net::NotInterested{oid, TxnId::make(2, 1)});
@@ -218,19 +218,21 @@ TEST_F(NodePair, WithdrawalForwardingStopsOnAHintCycle) {
 }
 
 TEST_F(NodePair, WaitForTimesOutCleanly) {
-  // A request whose reply is slower than the timeout: wait_for returns
-  // nothing and the system keeps running (the late reply becomes an orphan).
-  // Every link takes 50 ms, so the reply is late unless the test thread
-  // stalls for a whole round trip between the request and the wait.
+  // A request whose reply is slower than the timeout: poll_for returns
+  // nothing and the system keeps running (the call ends, and the late reply
+  // becomes an orphan). Every link takes 50 ms, so the reply is late unless
+  // the test thread stalls for a whole round trip between the request and
+  // the wait.
   ClusterConfig cfg;
   cfg.nodes = 3;
   cfg.workers_per_node = 0;
   cfg.topology.min_delay = sim_ms(50);
   cfg.topology.max_delay = sim_ms(50);
   Cluster c(cfg);
-  auto call = c.node(0).request(2, net::FindOwnerRequest{ObjectId{56}});
-  const auto got = call.wait_for(1);  // 1 ns, against a 100 ms round trip
-  EXPECT_FALSE(got.has_value());
+  {
+    auto call = c.node(0).request(2, net::FindOwnerRequest{ObjectId{56}});
+    EXPECT_FALSE(call.poll_for(1).has_value());  // 1 ns, against a 100 ms round trip
+  }
   c.network().wait_idle();
   // Both the request and the reply were sent and delivered: the late reply
   // reached node 0 and was absorbed as an orphan.
@@ -266,7 +268,7 @@ TEST_F(NodePair, UnackedGrantIsReservedByTheSweep) {
     req.txid = TxnId::make(from, 1);
     req.mode = net::AccessMode::kWrite;
     auto call = c.node(from).request(0, req);
-    const auto reply = call.wait_for(sim_ms(500));
+    const auto reply = call.poll_for(sim_ms(500));
     EXPECT_TRUE(reply && std::get<net::ObjectResponse>(reply->payload).enqueued);
     return call;
   };
@@ -276,12 +278,12 @@ TEST_F(NodePair, UnackedGrantIsReservedByTheSweep) {
 
   // The release grants the object to node 1, which never acks it.
   auto release = c.node(1).request(0, net::AbortUnlock{oid, committer});
-  ASSERT_TRUE(release.wait_for(sim_ms(500)).has_value());
-  const auto granted = first.wait_for(sim_ms(500));
+  ASSERT_TRUE(release.poll_for(sim_ms(500)).has_value());
+  const auto granted = first.poll_for(sim_ms(500));
   ASSERT_TRUE(granted.has_value());
   EXPECT_TRUE(std::get<net::ObjectResponse>(granted->payload).handoff);
 
-  const auto reserved = second.wait_for(sim_ms(5000));
+  const auto reserved = second.poll_for(sim_ms(5000));
   ASSERT_TRUE(reserved.has_value());
   const auto& resp = std::get<net::ObjectResponse>(reserved->payload);
   EXPECT_EQ(resp.txid, TxnId::make(2, 1));
@@ -316,7 +318,7 @@ TEST_F(NodePair, RequestWaitsForTheOwnersStep) {
   ASSERT_TRUE(owner.store().unlock(oid, committer));
   step.unlock();
 
-  const auto reply = call.wait_for(sim_ms(500));
+  const auto reply = call.poll_for(sim_ms(500));
   ASSERT_TRUE(reply.has_value());
   const auto& resp = std::get<net::ObjectResponse>(reply->payload);
   EXPECT_FALSE(resp.enqueued);
@@ -376,7 +378,7 @@ TEST_F(NodePair, CommitReturnsBeforeTheHandoffCompletes) {
   ASSERT_TRUE(c.execute(1, 1, [&](tfa::Txn& tx) { tx.write<Box>(oid).value = 2; }).committed);
   EXPECT_NE(c.node(0).owner().owned_copy(oid), nullptr);
   EXPECT_EQ(c.node(0).owner().locked_slots(), 1u);
-  EXPECT_EQ(c.node(1).owner().pending_handoffs(), 1u);
+  EXPECT_EQ(c.node(1).owner().unanswered_requests(), 1u);
 
   c.network().wait_idle();
   EXPECT_EQ(c.node(0).owner().owned_objects(), 0u);
@@ -384,7 +386,7 @@ TEST_F(NodePair, CommitReturnsBeforeTheHandoffCompletes) {
   ASSERT_NE(copy, nullptr);
   EXPECT_EQ(object_cast<Box>(*copy).value, 2);
   EXPECT_EQ(c.node(1).store().get(oid)->version.writer, 1u);
-  EXPECT_EQ(c.pending_handoffs(), 0u);
+  EXPECT_EQ(c.unanswered_requests(), 0u);
   c.shutdown();
 }
 
@@ -399,7 +401,7 @@ TEST_F(NodePair, RefusedRegistrationIsCounted) {
   newer.new_owner = 2;
   newer.version_clock = 1000;
   auto call = cluster->node(0).request(dsm::home_node(oid, cluster->size()), newer);
-  const auto reply = call.wait_for(sim_ms(500));
+  const auto reply = call.poll_for(sim_ms(500));
   ASSERT_TRUE(reply.has_value());
   ASSERT_TRUE(std::get<net::RegisterOwnerResponse>(reply->payload).ok);
 
@@ -418,12 +420,12 @@ TEST_F(NodePair, DuplicateRequestIsAnsweredFromTheReplyCache) {
   cluster->node(1).directory().publish(ObjectId{58}, 2);
   const net::FindOwnerRequest req{ObjectId{58}};
   auto call = cluster->node(0).request(1, req);
-  const auto first = call.wait_for(sim_ms(100));
+  const auto first = call.poll_for(sim_ms(100));
   ASSERT_TRUE(first.has_value());
 
   const auto before = cluster->node(1).metrics().snapshot();
   cluster->node(0).resend(1, call.id(), /*attempt=*/1, req);
-  const auto second = call.wait_for(sim_ms(100));
+  const auto second = call.poll_for(sim_ms(100));
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(std::get<net::FindOwnerResponse>(second->payload).owner, 2u);
   cluster->network().wait_idle();

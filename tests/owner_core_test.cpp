@@ -1,13 +1,16 @@
 // OwnerCore without a network: a recording net::Comm captures every message
 // an owner step sends, so each test checks exactly what one step put on the
 // wire — the grant of a free object, the RTS park and the Alg. 4 hand-off,
-// grant-loss recovery, the committer's hand-off and its resends, withdrawal
+// grant-loss recovery, the resend table (the committer's hand-offs, remote
+// lock releases and registration rollbacks) and its resends, withdrawal
 // forwarding and the lock verdict.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 #include <vector>
 
+#include "dsm/directory.hpp"
 #include "tfa/owner_core.hpp"
 #include "tfa/tfa_runtime.hpp"
 
@@ -183,7 +186,7 @@ TEST_F(OwnerCore, RtsParksOnALockedObjectAndReleaseHandsItOff) {
 
   // The commit aborts and releases its lock: the parked request is answered
   // by a routed grant.
-  owner.release(kOid, committer);
+  owner.release(kOid, committer, /*owner=*/0);
   sent = comm.take();
   ASSERT_EQ(sent.size(), 1u);
   expect_handoff(sent[0], 2, 12, second);
@@ -206,7 +209,7 @@ TEST_F(OwnerCore, AbortUnlockAcksThenHandsOff) {
 
 TEST_F(OwnerCore, SweepLeavesAnAcknowledgedGrant) {
   ASSERT_NO_FATAL_FAILURE(park_two_waiters());
-  owner.release(kOid, committer);
+  owner.release(kOid, committer, /*owner=*/0);
   auto sent = comm.take();
   ASSERT_EQ(sent.size(), 1u);
   expect_handoff(sent[0], 1, 11, first);
@@ -219,7 +222,7 @@ TEST_F(OwnerCore, SweepLeavesAnAcknowledgedGrant) {
 
 TEST_F(OwnerCore, SweepReservesAnUnacknowledgedGrant) {
   ASSERT_NO_FATAL_FAILURE(park_two_waiters());
-  owner.release(kOid, committer);
+  owner.release(kOid, committer, /*owner=*/0);
   ASSERT_EQ(comm.take().size(), 1u);
 
   // No GrantAck before the deadline: the grant is presumed lost and the
@@ -253,19 +256,85 @@ TEST_F(OwnerCore, WithdrawalAtANonOwnerFollowsTheHintUpToTheHopBound) {
   EXPECT_EQ(metrics.snapshot().not_interested, 2u);
 }
 
-// ---- the committer's side of the Alg. 4 hand-off ----
+TEST_F(OwnerCore, RemoteReleaseSendsOneAbortUnlock) {
+  // The lock was taken at node 1: the release is a request to node 1, and
+  // this node's own slot for the same object stays as it was.
+  ASSERT_NO_FATAL_FAILURE(park_two_waiters());
+  owner.release(kOid, committer, /*owner=*/1);
+  const auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kRequest);
+  EXPECT_EQ(sent[0].to, 1u);
+  const auto& unlock = std::get<net::AbortUnlock>(sent[0].payload);
+  EXPECT_EQ(unlock.oid, kOid);
+  EXPECT_EQ(unlock.txid, committer);
+  EXPECT_EQ(owner.store().get(kOid)->locked_by, committer);
+  EXPECT_EQ(owner.queued_requesters(), 2u);
+  EXPECT_EQ(owner.unanswered_requests(), 1u);
+}
 
-// Node 0 commits a write to an object that node 1 owned.
+// ---- the resend table ----
+
+// Node 0 commits a write to an object that node 1 owned (the Alg. 4
+// hand-off), or cleans up a failed commit of that object: it releases its
+// lock at node 1, or rolls its registration back at the home node.
 struct OwnerCoreHandoff : OwnerCore {
   static constexpr ObjectId kMoved{43};
   static constexpr Version kCommitted{5, 0};
 
-  // Runs the hand-off step and returns the CommitRequest's msg_id.
-  std::uint64_t hand_off() {
-    owner.commit_handoff(/*old_owner=*/1, committer, moved, kCommitted);
+  // One kind of request the table holds: the step that sends it, where it
+  // goes and what its destination answers.
+  struct Entry {
+    const char* request;  // the payload's name
+    std::function<void()> send;
+    NodeId to;
+    net::Payload answer;
+  };
+
+  // A failed commit's clean-up: the release of its lock at node 1, and the
+  // rollback of its registration at the object's home node.
+  std::vector<Entry> clean_ups() {
+    return {
+        {"AbortUnlock", [this] { owner.release(kMoved, committer, 1); }, 1, net::Ack{kMoved}},
+        {"RegisterOwnerRequest",
+         [this] { owner.roll_back_registration(kMoved, 1, kCommitted.clock); },
+         dsm::home_node(kMoved, 3), net::RegisterOwnerResponse{kMoved, true}},
+    };
+  }
+  // The hand-off, whose answer returns a queue, then the clean-ups.
+  std::vector<Entry> entries() {
+    std::vector<Entry> all{
+        {"CommitRequest", [this] { owner.commit_handoff(1, committer, moved, kCommitted); },
+         1, net::CommitResponse{kMoved, {parked(1, 11, first)}}}};
+    for (Entry& e : clean_ups()) all.push_back(std::move(e));
+    return all;
+  }
+
+  static ObjectId oid_of(const net::Payload& p) {
+    return std::visit([](const auto& m) { return m.oid; }, p);
+  }
+
+  // Runs the step of `e` and returns its request's msg_id.
+  std::uint64_t send(const Entry& e) {
+    e.send();
     const auto sent = comm.take();
     EXPECT_EQ(sent.size(), 1u);
-    return sent.empty() ? 0 : sent[0].msg_id;
+    if (sent.empty()) return 0;
+    EXPECT_EQ(sent[0].kind, Sent::Kind::kRequest);
+    EXPECT_EQ(sent[0].to, e.to);
+    EXPECT_STREQ(net::payload_name(sent[0].payload), e.request);
+    return sent[0].msg_id;
+  }
+  std::uint64_t hand_off() { return send(entries().front()); }
+
+  // The answer of `e`'s destination to request `msg_id`.
+  static net::Message answer(const Entry& e, std::uint64_t msg_id) {
+    net::Message m;
+    m.from = e.to;
+    m.to = 0;
+    m.reply_to = msg_id;
+    m.payload = e.answer;
+    return m;
   }
 
   // The old owner's reply to request `msg_id`, returning `queue`.
@@ -303,29 +372,36 @@ TEST_F(OwnerCoreHandoff, InstallsTheCopyAndSendsOneCommitRequest) {
   EXPECT_EQ(req.new_owner, 0u);
   EXPECT_EQ(owner.owned_copy(kMoved), moved);
   EXPECT_FALSE(owner.store().get(kMoved)->locked_by.valid());
-  EXPECT_EQ(owner.pending_handoffs(), 1u);
+  EXPECT_EQ(owner.unanswered_requests(), 1u);
 }
 
 TEST_F(OwnerCoreHandoff, SweepResendsAnOverdueRequestUnderItsId) {
-  const SimTime sent_at = sim_now();
-  const std::uint64_t id = hand_off();
-  owner.sweep(sent_at);  // not overdue yet
-  EXPECT_TRUE(comm.take().empty());
+  for (const Entry& e : entries()) {
+    SCOPED_TRACE(e.request);
+    const SimTime sent_at = sim_now();
+    const std::uint64_t id = send(e);
+    owner.sweep(sent_at);  // not overdue yet
+    EXPECT_TRUE(comm.take().empty());
 
-  owner.sweep(sent_at + sim_ms(1000));
-  const auto sent = comm.take();
-  ASSERT_EQ(sent.size(), 1u);
-  EXPECT_EQ(sent[0].kind, Sent::Kind::kResend);
-  EXPECT_EQ(sent[0].to, 1u);
-  EXPECT_EQ(sent[0].msg_id, id);
-  EXPECT_EQ(sent[0].attempt, 1u);
-  EXPECT_EQ(std::get<net::CommitRequest>(sent[0].payload).oid, kMoved);
-  EXPECT_EQ(owner.pending_handoffs(), 1u);
+    owner.sweep(sent_at + sim_ms(1000));
+    const auto sent = comm.take();
+    ASSERT_EQ(sent.size(), 1u);
+    EXPECT_EQ(sent[0].kind, Sent::Kind::kResend);
+    EXPECT_EQ(sent[0].to, e.to);
+    EXPECT_EQ(sent[0].msg_id, id);
+    EXPECT_EQ(sent[0].attempt, 1u);
+    EXPECT_STREQ(net::payload_name(sent[0].payload), e.request);
+    EXPECT_EQ(oid_of(sent[0].payload), kMoved);
+    EXPECT_EQ(owner.unanswered_requests(), 1u);
+    // Answered, so the next entry's sweep resends that entry alone.
+    ASSERT_TRUE(owner.take_reply(answer(e, id)));
+    comm.take();  // the grant of the hand-off's returned queue
+  }
 }
 
 TEST_F(OwnerCoreHandoff, ReplyAbsorbsTheQueueAndGrantsItsHead) {
   const std::uint64_t id = hand_off();
-  owner.handoff_reply(reply(id, {parked(1, 11, first), parked(2, 12, second)}));
+  ASSERT_TRUE(owner.take_reply(reply(id, {parked(1, 11, first), parked(2, 12, second)})));
   const auto sent = comm.take();
   ASSERT_EQ(sent.size(), 1u);
   EXPECT_EQ(sent[0].kind, Sent::Kind::kRoutedReply);
@@ -337,42 +413,63 @@ TEST_F(OwnerCoreHandoff, ReplyAbsorbsTheQueueAndGrantsItsHead) {
   EXPECT_EQ(grant.version, kCommitted);
   EXPECT_TRUE(grant.handoff);
   EXPECT_EQ(owner.queued_requesters(), 1u);  // the second waits its turn
-  EXPECT_EQ(owner.pending_handoffs(), 0u);
+  EXPECT_EQ(owner.unanswered_requests(), 0u);
+
+  // The answer to a release or a rollback only drops its record.
+  for (const Entry& e : clean_ups()) {
+    SCOPED_TRACE(e.request);
+    ASSERT_TRUE(owner.take_reply(answer(e, send(e))));
+    EXPECT_TRUE(comm.take().empty());
+    EXPECT_EQ(owner.queued_requesters(), 1u);
+    EXPECT_EQ(owner.unanswered_requests(), 0u);
+  }
 }
 
 TEST_F(OwnerCoreHandoff, ReplayedReplySendsNothing) {
   const std::uint64_t id = hand_off();
-  owner.handoff_reply(reply(id, {parked(1, 11, first)}));
+  ASSERT_TRUE(owner.take_reply(reply(id, {parked(1, 11, first)})));
   ASSERT_EQ(comm.take().size(), 1u);
   ASSERT_EQ(owner.queued_requesters(), 0u);
 
   // A duplicate, or the replay a resend drew from the old owner's reply
   // cache, finds no record.
-  owner.handoff_reply(reply(id, {parked(1, 11, first)}));
+  EXPECT_FALSE(owner.take_reply(reply(id, {parked(1, 11, first)})));
   EXPECT_TRUE(comm.take().empty());
   EXPECT_EQ(owner.queued_requesters(), 0u);
+
+  for (const Entry& e : clean_ups()) {
+    SCOPED_TRACE(e.request);
+    const net::Message answered = answer(e, send(e));
+    ASSERT_TRUE(owner.take_reply(answered));
+    EXPECT_FALSE(owner.take_reply(answered));
+    EXPECT_TRUE(comm.take().empty());
+    EXPECT_EQ(owner.unanswered_requests(), 0u);
+  }
 }
 
 TEST_F(OwnerCoreHandoff, ExhaustedBudgetDropsTheRecord) {
-  const std::uint64_t id = hand_off();
   const int resends = comm.retry_policy().scaled(3).max_retries;
-  SimTime now = sim_now();
-  for (int attempt = 1; attempt <= resends; ++attempt) {
-    now += sim_ms(1000);
-    owner.sweep(now);
-    const auto sent = comm.take();
-    ASSERT_EQ(sent.size(), 1u);
-    EXPECT_EQ(sent[0].kind, Sent::Kind::kResend);
-    EXPECT_EQ(sent[0].msg_id, id);
-    EXPECT_EQ(sent[0].attempt, static_cast<std::uint32_t>(attempt));
+  for (const Entry& e : entries()) {
+    SCOPED_TRACE(e.request);
+    const std::uint64_t id = send(e);
+    SimTime now = sim_now();
+    for (int attempt = 1; attempt <= resends; ++attempt) {
+      now += sim_ms(1000);
+      owner.sweep(now);
+      const auto sent = comm.take();
+      ASSERT_EQ(sent.size(), 1u);
+      EXPECT_EQ(sent[0].kind, Sent::Kind::kResend);
+      EXPECT_EQ(sent[0].msg_id, id);
+      EXPECT_EQ(sent[0].attempt, static_cast<std::uint32_t>(attempt));
+    }
+    owner.sweep(now + sim_ms(1000));
+    EXPECT_TRUE(comm.take().empty());
+    EXPECT_EQ(owner.unanswered_requests(), 0u);
+    // An answer after the drop changes nothing either.
+    EXPECT_FALSE(owner.take_reply(answer(e, id)));
+    EXPECT_TRUE(comm.take().empty());
+    EXPECT_EQ(owner.queued_requesters(), 0u);
   }
-  owner.sweep(now + sim_ms(1000));
-  EXPECT_TRUE(comm.take().empty());
-  EXPECT_EQ(owner.pending_handoffs(), 0u);
-  // A reply after the drop changes nothing either.
-  owner.handoff_reply(reply(id, {parked(1, 11, first)}));
-  EXPECT_TRUE(comm.take().empty());
-  EXPECT_EQ(owner.queued_requesters(), 0u);
 }
 
 TEST_F(OwnerCore, StaleLockRequestReportsTheVersionMismatch) {

@@ -2,7 +2,9 @@
 // workload on any scheduler with every knob exposed, and print the
 // experiment summary plus a per-node cluster report. Exits 1 when the
 // workload's invariant audit fails, or when a slot is still locked or a
-// hand-off still pending after the cluster quiesced.
+// lock release, registration rollback or hand-off still unanswered after
+// the cluster quiesced. `--help` lists the keys; an unknown key stops it
+// with exit 2 before anything runs.
 //
 //   hyflow_run --workload=bank --scheduler=rts --nodes=20 --read-ratio=0.1
 //              --duration-ms=500 [--report] [--latency]
@@ -28,11 +30,6 @@ using namespace hyflow;
 
 int main(int argc, char** argv) {
   const auto cli = Config::from_args(argc, argv);
-  if (cli.get_bool("help", false)) {
-    std::printf("see the header of tools/hyflow_run.cpp for the full knob list\n");
-    return 0;
-  }
-
   const auto workload_name = cli.get_string("workload", "bank");
   const auto scheduler = cli.get_string("scheduler", "rts");
   const double read_ratio = cli.get_double("read-ratio", 0.5);
@@ -58,6 +55,9 @@ int main(int argc, char** argv) {
   wcfg.max_nested = static_cast<int>(cli.get_int("max-nested", 4));
   wcfg.local_work = sim_us(cli.get_int("local-work-us", 300));
   wcfg.seed = cfg.cluster.seed;
+  const bool print_latency = cli.get_bool("latency", false);
+  const bool print_report = cli.get_bool("report", false);
+  bench::check_args(cli, "hyflow_run");
 
   auto workload = workloads::make_workload(workload_name, wcfg);
   const auto result = runtime::run_experiment(*workload, cfg);
@@ -82,13 +82,14 @@ int main(int argc, char** argv) {
                                        static_cast<double>(delta.commits_root)
                                  : 0.0);
   std::printf("invariants          %10s\n", result.verified ? "verified" : "VIOLATED");
-  // After the drain no hand-off may still wait for its reply, and no slot
-  // may stay locked: either would mean a lost message was never recovered.
+  // After the drain no release, rollback or hand-off may still wait for its
+  // answer, and no slot may stay locked: either would mean a lost message
+  // was never recovered.
   const bool quiesced =
-      result.report.pending_handoffs == 0 && result.report.locked_slots == 0;
+      result.report.unanswered_requests == 0 && result.report.locked_slots == 0;
   std::printf("quiesce             %10s\n", quiesced ? "clean" : "UNCLEAN");
 
-  if (cli.get_bool("latency", false)) {
+  if (print_latency) {
     // The measurement window's commits, the histogram behind p50/p99 in
     // the experiment summary.
     const auto& lat = delta.latency;
@@ -98,6 +99,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(lat.value_at_percentile(99)) / 1e6,
                 static_cast<double>(lat.max()) / 1e6);
   }
-  if (cli.get_bool("report", false)) std::printf("\n%s", result.report.to_string().c_str());
+  if (print_report) std::printf("\n%s", result.report.to_string().c_str());
   return result.verified && quiesced ? 0 : 1;
 }
