@@ -92,8 +92,7 @@ class OwnerCore {
   // Undoes this node's registration of `oid` at `clock`: sends the home node
   // a RegisterOwnerRequest naming `owner` at the same clock, which the
   // directory accepts, recorded in the resend table.
-  void roll_back_registration(ObjectId oid, NodeId owner, std::uint64_t clock)
-      EXCLUDES(mu_);
+  void roll_back_registration(ObjectId oid, NodeId owner, std::uint64_t clock) EXCLUDES(mu_);
   // A commit by the owner itself: publishes the new copy in place, which
   // releases the lock, and serves the queue.
   void commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object, Version version)

@@ -301,12 +301,15 @@ struct OwnerCoreHandoff : OwnerCore {
          dsm::home_node(kMoved, 3), net::RegisterOwnerResponse{kMoved, true}},
     };
   }
-  // The hand-off, whose answer returns a queue, then the clean-ups.
+  // The hand-off, whose answer returns a queue.
+  Entry hand_off_entry() {
+    return {"CommitRequest", [this] { owner.commit_handoff(1, committer, moved, kCommitted); },
+            1, net::CommitResponse{kMoved, {parked(1, 11, first)}}};
+  }
+  // Every kind, the hand-off first.
   std::vector<Entry> entries() {
-    std::vector<Entry> all{
-        {"CommitRequest", [this] { owner.commit_handoff(1, committer, moved, kCommitted); },
-         1, net::CommitResponse{kMoved, {parked(1, 11, first)}}}};
-    for (Entry& e : clean_ups()) all.push_back(std::move(e));
+    std::vector<Entry> all = clean_ups();
+    all.insert(all.begin(), hand_off_entry());
     return all;
   }
 
@@ -325,7 +328,7 @@ struct OwnerCoreHandoff : OwnerCore {
     EXPECT_STREQ(net::payload_name(sent[0].payload), e.request);
     return sent[0].msg_id;
   }
-  std::uint64_t hand_off() { return send(entries().front()); }
+  std::uint64_t hand_off() { return send(hand_off_entry()); }
 
   // The answer of `e`'s destination to request `msg_id`.
   static net::Message answer(const Entry& e, std::uint64_t msg_id) {
