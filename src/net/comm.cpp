@@ -19,14 +19,13 @@ SimDuration RetryPolicy::timeout_for(int attempt, std::uint64_t msg_id) const {
 
 std::optional<Message> reliable_wait(Comm& comm, RequestCall& call,
                                      const RetryPolicy& policy) {
-  for (int attempt = 0; attempt <= policy.max_retries; ++attempt) {
+  for (int attempt = 0;; ++attempt) {
     auto reply = call.poll_for(policy.timeout_for(attempt, call.id()));
     if (reply) return reply;
-    if (call.closed()) return std::nullopt;  // shutdown, not loss
-    if (attempt == policy.max_retries) break;
+    // Shutdown, not loss; or the budget is spent.
+    if (call.closed() || attempt == policy.max_retries) return std::nullopt;
     comm.resend(call.to(), call.id(), static_cast<std::uint32_t>(attempt + 1), call.payload());
   }
-  return std::nullopt;
 }
 
 }  // namespace hyflow::net

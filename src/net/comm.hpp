@@ -9,10 +9,11 @@
 // them), poll_for() waits for the next reply and leaves the call registered
 // on timeout, and the destructor deregisters it, so a later reply becomes an
 // orphan (a granted object's triggers the NotInterested protocol). Every
-// wait is bounded.
+// poll is bounded; only a wait on the kUntilAnswered budget is not.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "net/message.hpp"
@@ -82,15 +83,12 @@ struct RetryPolicy {
   // Timeout for `attempt` (0-based), jittered +-25% by the request id so
   // simultaneous retry storms de-synchronise deterministically.
   SimDuration timeout_for(int attempt, std::uint64_t msg_id) const;
-
-  // Budget multiplier for phases that must not give up early (ownership
-  // registration / publication).
-  RetryPolicy scaled(int factor) const {
-    RetryPolicy p = *this;
-    p.max_retries *= factor;
-    return p;
-  }
 };
+
+// The resend budget of a request that must not give up (the ownership
+// registration): reliable_wait resends it every max_timeout, once the
+// schedule reaches the cap, until the reply lands or the call is closed.
+inline constexpr int kUntilAnswered = std::numeric_limits<int>::max();
 
 class Comm {
  public:
@@ -104,8 +102,8 @@ class Comm {
 
   // Sends a request that no pending call waits for and returns its msg_id:
   // the reply reaches the node's handler, which passes it to the owner side's
-  // resend table (a lock release, a registration rollback or an Alg. 4
-  // hand-off, each recorded under the id).
+  // resend table (a lock release or an Alg. 4 hand-off, each recorded under
+  // the id).
   virtual std::uint64_t send_request(NodeId to, Payload payload) = 0;
 
   // One-way message (no reply expected).
@@ -132,10 +130,11 @@ class Comm {
 };
 
 // Waits for the reply to `call`, re-sending the call's own request on each
-// timeout per `policy`. Returns the reply, or nullopt once the retry budget
-// is exhausted (or the registry was closed — check call.closed()). Only
-// valid for idempotent requests: the receiver may execute the request more
-// than once if its reply cache has aged the entry out.
+// timeout per `policy`. Returns the reply, or nullopt once the registry was
+// closed (check call.closed()) or `policy.max_retries` resends went
+// unanswered; on the kUntilAnswered budget only the close ends the wait.
+// Only valid for idempotent requests: the receiver may execute the request
+// more than once if its reply cache has aged the entry out.
 std::optional<Message> reliable_wait(Comm& comm, RequestCall& call, const RetryPolicy& policy);
 
 }  // namespace hyflow::net

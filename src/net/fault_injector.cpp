@@ -1,5 +1,7 @@
 #include "net/fault_injector.hpp"
 
+#include <algorithm>
+
 #include "net/message.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
@@ -37,6 +39,13 @@ FaultPlan FaultPlan::from_config(const Config& cfg) {
   c.end = sim_ms(cfg.get_int("fault-crash-end-ms", 0));
   if (cfg.has("fault-crash-node")) plan.crashes.push_back(c);
   return plan;
+}
+
+SimDuration FaultPlan::last_window_end() const {
+  SimDuration end = 0;
+  for (const auto& w : partitions) end = std::max(end, w.end);
+  for (const auto& w : crashes) end = std::max(end, w.end);
+  return end;
 }
 
 double FaultInjector::unit(std::uint64_t key, std::uint64_t salt) const {

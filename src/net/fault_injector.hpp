@@ -63,6 +63,10 @@ struct FaultPlan {
            !crashes.empty();
   }
 
+  // When the last partition or crash window closes, as an offset from the
+  // epoch; 0 without windows.
+  SimDuration last_window_end() const;
+
   // Reads the `--fault-*` flags (see EXPERIMENTS.md):
   //   --fault-drop=P --fault-dup=P --fault-delay=P --fault-delay-spike-us=N
   //   --fault-seed=N

@@ -28,8 +28,8 @@ Cluster::Cluster(const ClusterConfig& cfg) : cfg_(cfg) {
   }
   // Expire unacknowledged Alg. 4 grants on every node, so a dropped grant
   // re-serves the queue instead of stranding it, and resend every overdue
-  // release, rollback and hand-off, so a dropped request or answer still
-  // frees the lock, fixes the directory or moves the queue.
+  // release and hand-off, so a dropped request or answer still frees the
+  // lock or moves the queue.
   network_->set_tick(sim_ms(1), [this](SimTime now) {
     for (auto& n : nodes_) n->owner().sweep(now);
   });
@@ -76,18 +76,21 @@ void Cluster::start_workers(workloads::Workload& workload) {
 
 void Cluster::stop_workers() {
   // Graceful stop: workers finish their current transaction. Every RPC wait
-  // is reply-bounded while the network runs, and a parked transaction's
-  // backoff is capped, so joins converge without cutting pending calls —
-  // cutting them would eat lock-grant replies mid-commit and leak locks.
+  // but the registration's is reply-bounded while the network runs, the
+  // registration's ends once the fault windows have closed, and a parked
+  // transaction's backoff is capped, so joins converge without cutting
+  // pending calls — cutting them would eat lock-grant replies mid-commit
+  // and leak locks.
   for (auto& w : workers_) w.request_stop();
   workers_.clear();  // joins
   // Drain in-flight messages (ownership transfers, unlock notifications) so
-  // post-run audits see a quiescent, consistent cluster. A release, rollback
-  // or hand-off whose request or answer was lost waits for the sweep's
-  // resend; the sweep gives it up when its retry budget runs out, so the
-  // loop ends.
+  // post-run audits see a quiescent, consistent cluster. The sweep resends a
+  // lost release or hand-off at least every max_timeout, so each lands soon
+  // after the last fault window closes; one still unanswered past that bound
+  // was lost to a defect, which the quiesce audit then reports.
+  const SimTime deadline = sim_now() + cfg_.fault.last_window_end() + 4 * cfg_.rpc.max_timeout;
   network_->wait_idle();
-  while (unanswered_requests() > 0) {
+  while (unanswered_requests() > 0 && sim_now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     network_->wait_idle();
   }

@@ -58,7 +58,10 @@ class Cluster {
   // ---- workload driving ----
   void start_workers(workloads::Workload& workload);
   // Joins the workers, if any, then drains the network and the nodes'
-  // resend tables, so audits see a quiescent cluster.
+  // resend tables, so audits see a quiescent cluster. A worker whose
+  // ownership registration waits on a dark home node finishes only after
+  // the fault window has closed. The drain waits at most the fault plan's
+  // last window end plus four max_timeouts.
   void stop_workers();
 
   // Runs one transaction synchronously on `node` (examples/tests).
@@ -69,8 +72,8 @@ class Cluster {
   // live, not just after stop_workers().
   MetricsSnapshot total_metrics() const;
 
-  // Requests in the nodes' resend tables (lock releases, registration
-  // rollbacks and hand-offs) still unanswered, summed over the nodes.
+  // Requests in the nodes' resend tables (lock releases and hand-offs)
+  // still unanswered, summed over the nodes.
   std::size_t unanswered_requests();
 
   // Stops workers and drains (stop_workers), unblocks pending calls, stops

@@ -40,41 +40,28 @@ void OwnerCore::handle(const net::Message& msg) {
 
 bool OwnerCore::take_reply(const net::Message& reply) {
   MutexLock lk(mu_);
-  const auto it = unanswered_.find(reply.reply_to);
-  if (it == unanswered_.end()) return false;
-  const ObjectId oid = it->second.oid;
-  unanswered_.erase(it);
+  if (unanswered_.erase(reply.reply_to) == 0) return false;
   if (const auto* resp = std::get_if<net::CommitResponse>(&reply.payload)) {
     // Alg. 4: the node invoking the committed transaction receives the
     // requester lists.
-    scheduler_.absorb_queue(oid, resp->queue);
-    serve_waiters(oid);
+    scheduler_.absorb_queue(resp->oid, resp->queue);
+    serve_waiters(resp->oid);
   }
   return true;
 }
 
 void OwnerCore::sweep(SimTime now) {
   MutexLock lk(mu_);
-  // A request lost for good strands state at its destination: a held lock,
-  // the old owner's locked copy and its parked requesters, or a directory
-  // naming this node. The receiver's reply cache answers a resend with the
-  // first copy's reply, so a resent CommitRequest gets the queue captured at
-  // the real hand-over, never an empty one.
-  const net::RetryPolicy policy = comm_.retry_policy().scaled(3);
-  for (auto it = unanswered_.begin(); it != unanswered_.end();) {
-    Unanswered& u = it->second;
-    if (u.deadline > now) {
-      ++it;
-    } else if (u.attempt == static_cast<std::uint32_t>(policy.max_retries)) {
-      HYFLOW_WARN(net::payload_name(u.req), " of object ", u.oid.value, " to node ", u.to,
-                  " unanswered; given up");
-      it = unanswered_.erase(it);
-    } else {
-      ++u.attempt;
-      comm_.resend(u.to, it->first, u.attempt, u.req);
-      u.deadline = now + policy.timeout_for(static_cast<int>(u.attempt), it->first);
-      ++it;
-    }
+  // A request lost for good would strand state at its destination: a held
+  // lock, or the old owner's locked copy and its parked requesters. Every
+  // fault window closes, so the sweep resends until the answer lands. The
+  // receiver's reply cache answers a resend with the first copy's reply, so
+  // a resent CommitRequest gets the queue captured at the real hand-over.
+  for (auto& [id, u] : unanswered_) {
+    if (u.deadline > now) continue;
+    ++u.attempt;
+    comm_.resend(u.to, id, u.attempt, u.req);
+    u.deadline = now + comm_.retry_policy().timeout_for(static_cast<int>(u.attempt), id);
   }
 
   std::vector<PendingGrant> expired;
@@ -259,13 +246,7 @@ dsm::ObjectStore::LockResult OwnerCore::lock(ObjectId oid, TxnId txid,
 void OwnerCore::release(ObjectId oid, TxnId txid, NodeId owner) {
   MutexLock lk(mu_);
   if (owner == comm_.self()) return release_and_serve(oid, txid);
-  send_recorded(owner, oid, net::AbortUnlock{oid, txid});
-}
-
-void OwnerCore::roll_back_registration(ObjectId oid, NodeId owner, std::uint64_t clock) {
-  MutexLock lk(mu_);
-  send_recorded(dsm::home_node(oid, comm_.cluster_size()), oid,
-                net::RegisterOwnerRequest{oid, owner, clock});
+  send_recorded(owner, net::AbortUnlock{oid, txid});
 }
 
 void OwnerCore::commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object,
@@ -294,7 +275,7 @@ void OwnerCore::commit_handoff(NodeId old_owner, TxnId txid, ObjectSnapshot obje
   // Install first: the directory already points here, so the new copy must
   // be servable before the old owner's slot goes away.
   store_.install(std::move(object), version);
-  send_recorded(old_owner, req.oid, req);
+  send_recorded(old_owner, req);
 }
 
 // ---------------------------------------------------------------------------
@@ -353,11 +334,11 @@ void OwnerCore::release_and_serve(ObjectId oid, TxnId txid) {
   serve_waiters(oid);
 }
 
-void OwnerCore::send_recorded(NodeId to, ObjectId oid, net::Payload req) {
+void OwnerCore::send_recorded(NodeId to, net::Payload req) {
   // The answer needs this mutex, so it cannot overtake the record.
   const std::uint64_t id = comm_.send_request(to, req);
   const SimTime deadline = sim_now() + comm_.retry_policy().timeout_for(0, id);
-  unanswered_[id] = Unanswered{to, oid, std::move(req), 0, deadline};
+  unanswered_[id] = Unanswered{to, std::move(req), 0, deadline};
 }
 
 void OwnerCore::serve_waiters(ObjectId oid) {

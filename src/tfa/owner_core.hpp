@@ -11,9 +11,9 @@
 // another node.
 //
 // The resend table holds every request that no transaction waits for: a
-// failed commit's lock releases and registration rollbacks, and the Alg. 4
-// CommitRequests. Each only repairs state at another node, so the sweep
-// resends it until its answer arrives or its budget is spent.
+// failed commit's lock releases and the Alg. 4 CommitRequests. Each only
+// repairs state at another node, so the sweep resends it until its answer
+// arrives.
 //
 // The steps are the nine request handlers (handle), the answer to a request
 // in the resend table, the sweep (grant recovery and resends), the requester
@@ -66,9 +66,8 @@ class OwnerCore {
 
   // Grant-loss recovery: forgets every Alg. 4 grant whose GrantAck is overdue
   // at `now` and serves the object's queue again. Resends every overdue
-  // request in the resend table under its msg_id, on the schedule of
-  // retry_policy().scaled(3), and drops the record with a warning once that
-  // budget is spent.
+  // request in the resend table under its msg_id, on retry_policy()'s
+  // schedule, capped at max_timeout, for as long as it stays unanswered.
   void sweep(SimTime now) EXCLUDES(mu_);
 
   // ---- the requester path's local steps ----
@@ -89,10 +88,6 @@ class OwnerCore {
   // object's queue, if `owner` is this node, else by an AbortUnlock recorded
   // in the resend table.
   void release(ObjectId oid, TxnId txid, NodeId owner) EXCLUDES(mu_);
-  // Undoes this node's registration of `oid` at `clock`: sends the home node
-  // a RegisterOwnerRequest naming `owner` at the same clock, which the
-  // directory accepts, recorded in the resend table.
-  void roll_back_registration(ObjectId oid, NodeId owner, std::uint64_t clock) EXCLUDES(mu_);
   // A commit by the owner itself: publishes the new copy in place, which
   // releases the lock, and serves the queue.
   void commit_in_place(ObjectId oid, TxnId txid, ObjectSnapshot object, Version version)
@@ -117,7 +112,7 @@ class OwnerCore {
   std::size_t queued_requesters() EXCLUDES(mu_);
   // Owned slots still locked by a commit.
   std::size_t locked_slots() EXCLUDES(mu_);
-  // Requests in the resend table: sent, and neither answered nor given up.
+  // Requests in the resend table: sent, and not answered yet.
   std::size_t unanswered_requests() EXCLUDES(mu_);
 
   // ---- unlocked views, for tests and reads after the cluster quiesced ----
@@ -141,8 +136,8 @@ class OwnerCore {
 
   // The release step shared by on_abort_unlock and release().
   void release_and_serve(ObjectId oid, TxnId txid) REQUIRES(mu_);
-  // Sends `req` about `oid` to `to` and records it in the resend table.
-  void send_recorded(NodeId to, ObjectId oid, net::Payload req) REQUIRES(mu_);
+  // Sends `req` to `to` and records it in the resend table.
+  void send_recorded(NodeId to, net::Payload req) REQUIRES(mu_);
   // Pushes the current copy of `oid` to the scheduler's head group.
   void serve_waiters(ObjectId oid) REQUIRES(mu_);
   void send_grant(const net::QueuedRequester& to, ObjectId oid, const ObjectSnapshot& obj,
@@ -179,7 +174,6 @@ class OwnerCore {
   // The resend table: requests awaiting their answer, keyed by msg_id.
   struct Unanswered {
     NodeId to = kInvalidNode;
-    ObjectId oid;
     net::Payload req;
     std::uint32_t attempt = 0;  // resends so far
     SimTime deadline = 0;

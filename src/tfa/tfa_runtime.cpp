@@ -426,27 +426,15 @@ void TfaRuntime::register_write_set(TxnId txid, const std::vector<RoundItem>& wr
   // conflicting requesters hit the scheduler (§II). The window is one
   // directory round-trip, not one per object. A home node that is this node
   // gets a request too: registration has no local step.
-  const auto fail = [&](AbortCause cause, const RoundItem& it) {
-    // Roll every possibly-applied registration back to the previous owner at
-    // the same clock, then unlock. Neither waits: the owner side resends
-    // both until they are answered.
-    if (cause == AbortCause::kWatchdog) {
-      HYFLOW_WARN("ownership registration of object ", it.oid.value,
-                  " timed out; rolling back the registered set");
-      for (const RoundItem& w : writes)
-        if (w.target != comm_.self())  // else the owner is unchanged
-          owner_.roll_back_registration(w.oid, w.target, commit_clock);
-    }
-    release_locks(txid, writes);
-    abort_txn(cause, 0);
-  };
   std::vector<RoundItem> homes;
   for (const RoundItem& w : writes)
     homes.push_back(RoundItem{w.oid, w.entry, dsm::home_node(w.oid, comm_.cluster_size())});
+  // Registration never gives up: a half-registered write set poisons the
+  // directory, and every fault window closes.
+  net::RetryPolicy until_answered = comm_.retry_policy();
+  until_answered.max_retries = net::kUntilAnswered;
   run_round(homes, {
-      // Registration must not give up early — a half-registered write set
-      // poisons the directory — so it gets a multiplied retry budget.
-      .policy = comm_.retry_policy().scaled(3),
+      .policy = until_answered,
       .request = [&](const RoundItem& it) -> net::Payload {
         return net::RegisterOwnerRequest{it.oid, comm_.self(), commit_clock};
       },
@@ -457,7 +445,11 @@ void TfaRuntime::register_write_set(TxnId txid, const std::vector<RoundItem>& wr
         if (!std::get<net::RegisterOwnerResponse>(answer).ok)
           metrics_.add(Counter::register_refusals);
       },
-      .fail = fail,
+      // Only shutdown closes the wait.
+      .fail = [&](AbortCause cause, const RoundItem&) {
+        release_locks(txid, writes);
+        abort_txn(cause, 0);
+      },
   });
 }
 

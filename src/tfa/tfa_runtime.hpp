@@ -181,7 +181,8 @@ class TfaRuntime {
   // Commit-phase helpers; a write item's target is the object's owner.
   std::vector<RoundItem> resolve_write_set(Transaction& root);
   void lock_write_set(TxnId txid, std::vector<RoundItem>& writes);
-  // On a timeout: rolls the set back, releases the locks and aborts.
+  // Waits until every home node answered; if the cluster shuts down first,
+  // releases the locks and aborts.
   void register_write_set(TxnId txid, const std::vector<RoundItem>& writes,
                           std::uint64_t commit_clock);
   // Releases every lock of the set: in place where this node owns the

@@ -1,10 +1,11 @@
 // The requester side of TFA's commit without a network: a scripted net::Comm
-// answers each request at once from the test's script, or stays silent, and
-// records everything node 0 sends, while a real OwnerCore runs node 0's local
-// steps. Each test pins the order, destination and payload of every message
-// one root transaction sends through its commit rounds (lock the write set,
-// validate the reads, register ownership, hand off) and how it aborts. The
-// order pinned is the order of sends, not of concurrent arrivals.
+// answers each request and each resend at once from the test's script, or
+// stays silent, and records everything node 0 sends, while a real OwnerCore
+// runs node 0's local steps. Each test pins the order, destination and
+// payload of every message one root transaction sends through its commit
+// rounds (lock the write set, validate the reads, register ownership, hand
+// off) and how it aborts. The order pinned is the order of sends, not of
+// concurrent arrivals.
 //
 // Node 0 of 4. The root writes object 9 (owned here, home node 0), 11 (at
 // node 1, home 1) and 13 (at node 2, home 3), and it reads 12 (at node 2).
@@ -54,7 +55,7 @@ struct Sent {
 using Script = std::function<std::optional<net::Payload>(NodeId to, const net::Payload&)>;
 
 // A net::Comm whose peers answer at once from `script`. It retries after
-// 1 ms, once.
+// 1 ms, once, where a wait has a budget.
 class ScriptedComm final : public net::Comm {
  public:
   ScriptedComm() {
@@ -69,14 +70,7 @@ class ScriptedComm final : public net::Comm {
     const std::uint64_t id = ++last_id_;
     auto call = pending_.open(id);
     sent_.push_back({Sent::Kind::kRequest, to, payload});
-    if (auto answer = script(to, payload)) {
-      net::Message reply;
-      reply.from = to;
-      reply.to = 0;
-      reply.reply_to = id;
-      reply.payload = std::move(*answer);
-      pending_.deliver(std::move(reply));
-    }
+    answer(to, id, payload);
     return net::RequestCall(&pending_, std::move(call), id, to, std::move(payload));
   }
   std::uint64_t send_request(NodeId to, net::Payload payload) override {
@@ -92,8 +86,9 @@ class ScriptedComm final : public net::Comm {
   void reply_routed(NodeId, std::uint64_t, net::Payload) override {
     ADD_FAILURE() << "the requester side routed a reply";
   }
-  void resend(NodeId to, std::uint64_t, std::uint32_t, net::Payload payload) override {
-    sent_.push_back({Sent::Kind::kResend, to, std::move(payload)});
+  void resend(NodeId to, std::uint64_t msg_id, std::uint32_t, net::Payload payload) override {
+    sent_.push_back({Sent::Kind::kResend, to, payload});
+    answer(to, msg_id, payload);
   }
   const net::RetryPolicy& retry_policy() const override { return policy_; }
 
@@ -114,6 +109,18 @@ class ScriptedComm final : public net::Comm {
   Script script;
 
  private:
+  // Delivers the script's answer, if any, to the call of request `msg_id`.
+  void answer(NodeId to, std::uint64_t msg_id, const net::Payload& payload) {
+    if (auto scripted = script(to, payload)) {
+      net::Message reply;
+      reply.from = to;
+      reply.to = 0;
+      reply.reply_to = msg_id;
+      reply.payload = std::move(*scripted);
+      pending_.deliver(std::move(reply));
+    }
+  }
+
   static std::string describe(const net::Payload& p) {
     const auto n = [](std::uint64_t v) { return std::to_string(v); };
     if (const auto* r = std::get_if<net::ObjectRequest>(&p))
@@ -321,29 +328,31 @@ TEST_F(CommitRound, SilentLockIsReleasedToo) {
   EXPECT_FALSE(locally_locked());
 }
 
-TEST_F(CommitRound, SilentRegistrationRollsBackThenUnlocks) {
-  // The home nodes never answer a registration that names node 0; they do
-  // answer the rollback, which names the old owners.
-  comm.script = [](NodeId to, const net::Payload& p) -> std::optional<net::Payload> {
-    if (const auto* r = std::get_if<net::RegisterOwnerRequest>(&p); r && r->new_owner == 0)
+TEST_F(CommitRound, SilentRegistrationIsResentUntilAnswered) {
+  // Home node 0 leaves its registration unanswered for 8 sends, far past
+  // the one resend that every budgeted wait gets, and answers the ninth.
+  int sends_to_zero = 0;
+  comm.script = [&sends_to_zero](NodeId to,
+                                 const net::Payload& p) -> std::optional<net::Payload> {
+    if (std::holds_alternative<net::RegisterOwnerRequest>(p) && to == 0 &&
+        ++sends_to_zero <= 8)
       return std::nullopt;
     return healthy(to, p);
   };
   const auto res = run_root_once();
-  EXPECT_FALSE(res.committed);
-  EXPECT_EQ(root_aborts(AbortCause::kWatchdog), 1u);
-  EXPECT_EQ(metrics.snapshot().watchdog_aborts, 1u);
-  // The first registration is resent on the x3 budget (three resends), then
-  // every moved object's registration is undone at the same clock. The
-  // rollbacks and releases go out at once: the owner side resends them.
+  EXPECT_TRUE(res.committed);
+  EXPECT_EQ(res.attempts, 1u);
+  EXPECT_EQ(metrics.snapshot().watchdog_aborts, 0u);
+  // Registration has no budget: it resends until the answer lands, then the
+  // commit goes on as a clean one does.
+  std::string resends;
+  for (int i = 0; i < 8; ++i) resends += " resend Register(9:0@6)>0";
   EXPECT_EQ(comm.trace(), std::string(kOpens) +
                               " Lock(11@3)>1 Lock(13@3)>2 Validate(12@3)>2"
-                              " Register(9:0@6)>0 Register(11:0@6)>1 Register(13:0@6)>3"
-                              " resend Register(9:0@6)>0 resend Register(9:0@6)>0"
-                              " resend Register(9:0@6)>0"
-                              " async Register(11:1@6)>1 async Register(13:2@6)>3"
-                              " async AbortUnlock(11)>1 async AbortUnlock(13)>2");
+                              " Register(9:0@6)>0 Register(11:0@6)>1 Register(13:0@6)>3" +
+                              resends + " async Commit(11@6:0)>1 async Commit(13@6:0)>2");
   EXPECT_FALSE(locally_locked());
+  EXPECT_EQ(owner.store().get(kLocal)->version, (Version{kCommitClock, 0}));
 }
 
 TEST_F(CommitRound, StaleReadInAClosedNestedChildRetriesTheChildAlone) {

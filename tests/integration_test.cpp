@@ -4,9 +4,7 @@
 // (enqueue/hand-off/not-interested) are actually exercised.
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "dsm/directory.hpp"
+#include "quiesce_audit.hpp"
 #include "runtime/experiment.hpp"
 #include "workloads/registry.hpp"
 
@@ -92,20 +90,7 @@ TEST(ClusterInvariants, SingleOwnerAfterQuiesce) {
   std::this_thread::sleep_for(to_chrono(sim_ms(250)));
   cluster.stop_workers();
 
-  // Every object lives in exactly one store, and the directory points at it.
-  std::set<std::uint64_t> seen;
-  for (NodeId n = 0; n < cluster.size(); ++n) {
-    for (const ObjectId oid : cluster.node(n).store().owned_ids()) {
-      EXPECT_TRUE(seen.insert(oid.value).second)
-          << "object " << oid.value << " owned by two stores";
-      const NodeId home = dsm::home_node(oid, cluster.size());
-      const auto dir_owner = cluster.node(home).directory().lookup(oid);
-      ASSERT_TRUE(dir_owner.has_value());
-      EXPECT_EQ(*dir_owner, n) << "directory stale for object " << oid.value;
-      // No lock survives quiesce.
-      EXPECT_FALSE(cluster.node(n).store().get(oid)->locked_by.valid());
-    }
-  }
+  expect_single_owners(cluster);
   EXPECT_TRUE(wl->verify(cluster));
   cluster.shutdown();
 }

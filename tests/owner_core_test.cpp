@@ -1,16 +1,15 @@
 // OwnerCore without a network: a recording net::Comm captures every message
 // an owner step sends, so each test checks exactly what one step put on the
 // wire — the grant of a free object, the RTS park and the Alg. 4 hand-off,
-// grant-loss recovery, the resend table (the committer's hand-offs, remote
-// lock releases and registration rollbacks) and its resends, withdrawal
-// forwarding and the lock verdict.
+// grant-loss recovery, the resend table (the committer's hand-offs and
+// remote lock releases) and its resends, withdrawal forwarding and the lock
+// verdict.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <utility>
 #include <vector>
 
-#include "dsm/directory.hpp"
 #include "tfa/owner_core.hpp"
 #include "tfa/tfa_runtime.hpp"
 
@@ -277,7 +276,7 @@ TEST_F(OwnerCore, RemoteReleaseSendsOneAbortUnlock) {
 
 // Node 0 commits a write to an object that node 1 owned (the Alg. 4
 // hand-off), or cleans up a failed commit of that object: it releases its
-// lock at node 1, or rolls its registration back at the home node.
+// lock at node 1.
 struct OwnerCoreHandoff : OwnerCore {
   static constexpr ObjectId kMoved{43};
   static constexpr Version kCommitted{5, 0};
@@ -291,14 +290,10 @@ struct OwnerCoreHandoff : OwnerCore {
     net::Payload answer;
   };
 
-  // A failed commit's clean-up: the release of its lock at node 1, and the
-  // rollback of its registration at the object's home node.
+  // A failed commit's clean-up: the release of its lock at node 1.
   std::vector<Entry> clean_ups() {
     return {
         {"AbortUnlock", [this] { owner.release(kMoved, committer, 1); }, 1, net::Ack{kMoved}},
-        {"RegisterOwnerRequest",
-         [this] { owner.roll_back_registration(kMoved, 1, kCommitted.clock); },
-         dsm::home_node(kMoved, 3), net::RegisterOwnerResponse{kMoved, true}},
     };
   }
   // The hand-off, whose answer returns a queue.
@@ -418,7 +413,7 @@ TEST_F(OwnerCoreHandoff, ReplyAbsorbsTheQueueAndGrantsItsHead) {
   EXPECT_EQ(owner.queued_requesters(), 1u);  // the second waits its turn
   EXPECT_EQ(owner.unanswered_requests(), 0u);
 
-  // The answer to a release or a rollback only drops its record.
+  // The answer to a release only drops its record.
   for (const Entry& e : clean_ups()) {
     SCOPED_TRACE(e.request);
     ASSERT_TRUE(owner.take_reply(answer(e, send(e))));
@@ -450,8 +445,9 @@ TEST_F(OwnerCoreHandoff, ReplayedReplySendsNothing) {
   }
 }
 
-TEST_F(OwnerCoreHandoff, ExhaustedBudgetDropsTheRecord) {
-  const int resends = comm.retry_policy().scaled(3).max_retries;
+TEST_F(OwnerCoreHandoff, SweepResendsPastAnyBudgetUntilAnswered) {
+  // Three times the retry budget and more: the sweep has none.
+  const int resends = 3 * comm.retry_policy().max_retries + 10;
   for (const Entry& e : entries()) {
     SCOPED_TRACE(e.request);
     const std::uint64_t id = send(e);
@@ -464,14 +460,14 @@ TEST_F(OwnerCoreHandoff, ExhaustedBudgetDropsTheRecord) {
       EXPECT_EQ(sent[0].kind, Sent::Kind::kResend);
       EXPECT_EQ(sent[0].msg_id, id);
       EXPECT_EQ(sent[0].attempt, static_cast<std::uint32_t>(attempt));
+      EXPECT_EQ(owner.unanswered_requests(), 1u);
     }
+    // The answer drops the record, and the next sweep resends nothing.
+    ASSERT_TRUE(owner.take_reply(answer(e, id)));
+    comm.take();  // the grant of the hand-off's returned queue
+    EXPECT_EQ(owner.unanswered_requests(), 0u);
     owner.sweep(now + sim_ms(1000));
     EXPECT_TRUE(comm.take().empty());
-    EXPECT_EQ(owner.unanswered_requests(), 0u);
-    // An answer after the drop changes nothing either.
-    EXPECT_FALSE(owner.take_reply(answer(e, id)));
-    EXPECT_TRUE(comm.take().empty());
-    EXPECT_EQ(owner.queued_requesters(), 0u);
   }
 }
 

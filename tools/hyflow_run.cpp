@@ -2,9 +2,9 @@
 // workload on any scheduler with every knob exposed, and print the
 // experiment summary plus a per-node cluster report. Exits 1 when the
 // workload's invariant audit fails, or when a slot is still locked or a
-// lock release, registration rollback or hand-off still unanswered after
-// the cluster quiesced. `--help` lists the keys; an unknown key stops it
-// with exit 2 before anything runs.
+// lock release or hand-off still unanswered after the cluster quiesced.
+// `--help` lists the keys; an unknown key stops it with exit 2 before
+// anything runs.
 //
 //   hyflow_run --workload=bank --scheduler=rts --nodes=20 --read-ratio=0.1
 //              --duration-ms=500 [--report] [--latency]
@@ -82,12 +82,14 @@ int main(int argc, char** argv) {
                                        static_cast<double>(delta.commits_root)
                                  : 0.0);
   std::printf("invariants          %10s\n", result.verified ? "verified" : "VIOLATED");
-  // After the drain no release, rollback or hand-off may still wait for its
-  // answer, and no slot may stay locked: either would mean a lost message
-  // was never recovered.
-  const bool quiesced =
-      result.report.unanswered_requests == 0 && result.report.locked_slots == 0;
-  std::printf("quiesce             %10s\n", quiesced ? "clean" : "UNCLEAN");
+  // After the drain no release or hand-off may still wait for its answer,
+  // and no slot may stay locked: either would mean a lost message was never
+  // recovered. A parked requester is printed, but does not fail the run.
+  const auto& audit = result.report;
+  const bool quiesced = audit.unanswered_requests == 0 && audit.locked_slots == 0;
+  std::printf("quiesce             %10s  (parked=%zu locked=%zu unanswered=%zu)\n",
+              quiesced ? "clean" : "UNCLEAN", audit.queued_requesters, audit.locked_slots,
+              audit.unanswered_requests);
 
   if (print_latency) {
     // The measurement window's commits, the histogram behind p50/p99 in
