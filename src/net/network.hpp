@@ -11,6 +11,7 @@
 // through net::PendingCalls, never inside a handler.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -32,9 +33,12 @@ struct TransportStats {
   std::atomic<std::uint64_t> object_payloads{0};
   // Messages still in the timer queue when stop() cut them off.
   std::atomic<std::uint64_t> dropped_on_stop{0};
+  // Messages per Payload alternative, indexed by Payload::index().
+  std::array<std::atomic<std::uint64_t>, kPayloadKinds> by_kind{};
 
   void record(const Message& m) {
     messages.fetch_add(1, std::memory_order_relaxed);
+    by_kind[m.payload.index()].fetch_add(1, std::memory_order_relaxed);
     bytes.fetch_add(payload_wire_size(m.payload), std::memory_order_relaxed);
     if (std::holds_alternative<ObjectResponse>(m.payload) &&
         std::get<ObjectResponse>(m.payload).object) {

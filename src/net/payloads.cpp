@@ -1,5 +1,8 @@
 #include "net/payloads.hpp"
 
+#include <array>
+#include <utility>
+
 namespace hyflow::net {
 
 namespace {
@@ -39,6 +42,14 @@ struct SizeVisitor {
 }  // namespace
 
 const char* payload_name(const Payload& p) { return std::visit(NameVisitor{}, p); }
+
+const char* payload_name_at(std::size_t index) {
+  static const auto names = []<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<const char*, kPayloadKinds>{
+        payload_name(Payload(std::in_place_index<I>))...};
+  }(std::make_index_sequence<kPayloadKinds>{});
+  return index < names.size() ? names[index] : "?";
+}
 
 std::size_t payload_wire_size(const Payload& p) { return std::visit(SizeVisitor{}, p); }
 

@@ -165,7 +165,11 @@ using Payload =
                  LockRequest, LockResponse, ValidateRequest, ValidateResponse,
                  CommitRequest, CommitResponse, AbortUnlock, GrantAck, Ack>;
 
+inline constexpr std::size_t kPayloadKinds = std::variant_size_v<Payload>;
+
 const char* payload_name(const Payload& p);
+// The name of the Payload alternative at `index` (Payload::index()).
+const char* payload_name_at(std::size_t index);
 std::size_t payload_wire_size(const Payload& p);
 
 }  // namespace hyflow::net

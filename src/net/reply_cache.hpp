@@ -11,7 +11,8 @@
 // The cache is a bounded FIFO. An entry aged out while its requester still
 // retries degrades to at-least-once execution, which the protocol tolerates
 // (handlers for retried requests are idempotent: reentrant locks, monotonic
-// directory registration, duplicate-filtered scheduler queues).
+// directory registration, duplicate-filtered scheduler queues, and a
+// hand-off that leaves a copy at or past its new version alone).
 #pragma once
 
 #include <cstdint>

@@ -28,6 +28,8 @@ ClusterReport collect_report(Cluster& cluster) {
   report.messages = stats.messages.load();
   report.bytes = stats.bytes.load();
   report.object_payloads = stats.object_payloads.load();
+  for (std::size_t k = 0; k < net::kPayloadKinds; ++k)
+    report.messages_by_kind[k] = stats.by_kind[k].load();
   report.dropped_on_stop = stats.dropped_on_stop.load();
   const auto& faults = cluster.network().faults().stats();
   report.faults_dropped = faults.dropped.load();
@@ -70,6 +72,11 @@ std::string ClusterReport::to_string() const {
                 static_cast<unsigned long long>(bytes),
                 static_cast<unsigned long long>(object_payloads));
   os << line;
+  os << "messages by kind";
+  for (std::size_t k = 0; k < net::kPayloadKinds; ++k)
+    if (messages_by_kind[k] > 0)
+      os << ' ' << net::payload_name_at(k) << '=' << messages_by_kind[k];
+  os << '\n';
   if (totals.latency.count() > 0) {
     std::snprintf(line, sizeof(line),
                   "latency ms p50=%.2f p90=%.2f p99=%.2f max=%.2f (%llu samples)\n",

@@ -4,6 +4,7 @@
 // CLI driver and handy when debugging protocol behaviour.
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,8 @@ struct ClusterReport {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t object_payloads = 0;
+  // Messages per payload kind, indexed by net::Payload::index().
+  std::array<std::uint64_t, net::kPayloadKinds> messages_by_kind{};
   std::uint64_t dropped_on_stop = 0;
   std::size_t total_objects = 0;
   // The quiesce audit, summed over the nodes: requesters still parked,

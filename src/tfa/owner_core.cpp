@@ -163,10 +163,18 @@ void OwnerCore::on_validate(const net::Message& msg) {
 
 void OwnerCore::on_commit(const net::Message& msg) {
   const auto& req = std::get<net::CommitRequest>(msg.payload);
-  if (const auto view = store_.evict(req.oid, req.txid); view && view->locked_by.valid())
-    record_hold(view->locked_at);
   net::CommitResponse resp;
   resp.oid = req.oid;
+  // A resend that outlived the reply cache runs this step again. If this
+  // node has since taken the object back, its copy carries a clock at or
+  // past the hand-off's (versions only grow): it stays, with its queue.
+  if (const auto slot = store_.get(req.oid);
+      slot && slot->version.clock >= req.new_version.clock) {
+    comm_.reply(msg, resp);
+    return;
+  }
+  if (const auto view = store_.evict(req.oid, req.txid); view && view->locked_by.valid())
+    record_hold(view->locked_at);
   // Hand the scheduling queue over to the new owner.
   resp.queue = scheduler_.extract_queue(req.oid);
   contention_.forget(req.oid);

@@ -38,9 +38,10 @@ void Txn::nested(const std::function<void(Txn&)>& body) {
     try {
       body(handle);
       // Closed-nested commit: early-validate the child's own reads before
-      // its effects merge (Turcu & Ravindran's nested TFA). A stale child
-      // aborts here — alone — instead of dooming the parent at root commit.
-      rt_.validate_chain(child, TfaRuntime::Scope::kAll);
+      // its effects merge (Turcu & Ravindran's nested TFA). A stale read
+      // aborts the child here — alone — instead of dooming the parent at
+      // root commit. Its writes are checked once, by the root's commit lock.
+      rt_.validate_chain(child, TfaRuntime::Scope::kReads);
       child.merge_into_parent();
       level_.root().nested_committed += 1;
       rt_.metrics().add(Counter::nested_commits);

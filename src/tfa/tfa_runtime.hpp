@@ -58,8 +58,10 @@ class Txn {
     return object_cast<T>(open(oid, net::AccessMode::kWrite).mutable_copy());
   }
 
-  // Runs `body` as a closed-nested transaction. The child retries alone on
-  // its own validation failures (bounded); parent-level aborts propagate.
+  // Runs `body` as a closed-nested transaction. Its commit validates the
+  // child's own reads, and the child retries alone when one of them went
+  // stale (bounded); parent-level aborts propagate. A stale write surfaces
+  // at the root's commit lock and aborts the root.
   //
   // `body` MUST be idempotent across retries: reset any captured
   // accumulator at the top of the body (or build locally and publish as the
@@ -151,10 +153,12 @@ class TfaRuntime {
     std::function<void(const RoundItem&, const net::Payload&)> verdict;
     std::function<void(AbortCause, const RoundItem&)> fail;
   };
-  // Which entries of the chain a validation round asks about.
+  // Which entries of the chain a validation round asks about. A write entry
+  // is checked by the root's commit lock, or by a forwarding round while
+  // the tree holds it.
   enum class Scope {
-    kAll,       // forwarding, or a closed-nested child's own level
-    kReads,     // a writer's commit: its reads, once its writes are locked
+    kAll,       // forwarding
+    kReads,     // a closed-nested child's commit, or a writer's once its writes are locked
     kUnproven,  // a read-only commit: entries not shown current at the last fetch
   };
 
@@ -164,7 +168,7 @@ class TfaRuntime {
   void forward_if_needed(Transaction& root, std::uint64_t observed_clock);
   // Early-validates the entries in `scope` fetched at `top` or below it: the
   // whole chain on forwarding, the root at commit, or a closed-nested child's
-  // own level (it is the leaf) before it merges. While the tree holds no
+  // own reads (it is the leaf) before it merges. While the tree holds no
   // write, a child's round also carries its ancestors' entries held at the
   // nodes it asks (riders). Every entry of a round that succeeds records the
   // fetch count at the round's start.

@@ -9,8 +9,9 @@
 //
 // Node 0 of 4. The root writes object 9 (owned here, home node 0), 11 (at
 // node 1, home 1) and 13 (at node 2, home 3), and it reads 12 (at node 2).
-// The trees at the end read these objects in closed-nested children and pin
-// which reads a child's round carries and which a read-only commit checks.
+// The trees at the end read and write these objects in closed-nested
+// children and pin which reads a child's round carries, which a read-only
+// commit checks, and that a child's writes are checked by the root's locks.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -446,12 +447,62 @@ TEST_F(CommitRound, ChildRoundOfAWritingTreeCarriesNoRider) {
     tx.nested([](tfa::Txn& child) { (void)child.read<Box>(kAtTwo); });
   });
   EXPECT_TRUE(res.committed);
-  // The second child asks node 2 about 13 alone, though the tree read 12
-  // there; the writer's commit locks 11 and then validates both reads.
-  EXPECT_EQ(comm.trace(), std::string(kFirstChild) +
-                              " Object(13)>2 Validate(13@3)>2"
-                              " Lock(11@3)>1 Validate(13@3)>2 Validate(12@3)>2"
-                              " Register(11:0@6)>1 async Commit(11@6:0)>1");
+  // The first child's round asks about its read of 12 alone. The second
+  // asks node 2 about 13 alone, though the tree read 12 there; the writer's
+  // commit locks 11 and then validates both reads.
+  EXPECT_EQ(comm.trace(), "Object(11)>1 Object(12)>2 Validate(12@3)>2"
+                          " Object(13)>2 Validate(13@3)>2"
+                          " Lock(11@3)>1 Validate(13@3)>2 Validate(12@3)>2"
+                          " Register(11:0@6)>1 async Commit(11@6:0)>1");
+}
+
+// ---- a writing child leaves its writes to the root's locks ----
+
+TEST_F(CommitRound, WritingChildsRoundAsksOnlyAboutItsReads) {
+  const auto res = run_once([](tfa::Txn& tx) {
+    tx.nested([](tfa::Txn& child) {
+      child.write<Box>(kAtOne).value += 1;
+      child.write<Box>(kAtTwo).value += 1;
+      (void)child.read<Box>(kRead);
+    });
+  });
+  EXPECT_TRUE(res.committed);
+  // The root's locks check the version of 11 and 13, so the child's round
+  // does not: it asks about 12 alone.
+  EXPECT_EQ(comm.trace(), "Object(11)>1 Object(13)>2 Object(12)>2 Validate(12@3)>2"
+                          " Lock(11@3)>1 Lock(13@3)>2 Validate(12@3)>2"
+                          " Register(11:0@6)>1 Register(13:0@6)>3"
+                          " async Commit(11@6:0)>1 async Commit(13@6:0)>2");
+  const auto counted = metrics.snapshot();
+  EXPECT_EQ(counted.nested_commits, 1u);
+  EXPECT_EQ(counted.nested_aborts_own_cause + counted.nested_aborts_parent_cause, 0u);
+}
+
+TEST_F(CommitRound, StaleChildWriteAbortsTheRootAtItsLock) {
+  // Node 1 committed 11 after the fetch: a validation of 11 finds it
+  // invalid, and a lock finds the version changed.
+  comm.script = [](NodeId to, const net::Payload& p) -> std::optional<net::Payload> {
+    if (const auto* r = std::get_if<net::ValidateRequest>(&p); r && r->oid == kAtOne)
+      return net::ValidateResponse{r->oid, ObjectStore::ValidateResult::kInvalid};
+    if (const auto* r = std::get_if<net::LockRequest>(&p); r && r->oid == kAtOne)
+      return net::LockResponse{r->oid, ObjectStore::LockResult::kVersionMismatch};
+    return healthy(to, p);
+  };
+  const auto res = run_once([](tfa::Txn& tx) {
+    tx.nested([](tfa::Txn& child) {
+      child.write<Box>(kAtOne).value += 1;
+      (void)child.read<Box>(kRead);
+    });
+  });
+  EXPECT_FALSE(res.committed);
+  // The child merges; the root's lock is its first check of 11 and aborts
+  // the root as early validation, rolling the merged child back.
+  EXPECT_EQ(comm.trace(), "Object(11)>1 Object(12)>2 Validate(12@3)>2 Lock(11@3)>1");
+  EXPECT_EQ(root_aborts(AbortCause::kEarlyValidation), 1u);
+  const auto counted = metrics.snapshot();
+  EXPECT_EQ(counted.nested_commits, 1u);
+  EXPECT_EQ(counted.nested_aborts_own_cause, 0u);
+  EXPECT_EQ(counted.nested_aborts_parent_cause, 1u);
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 // an owner step sends, so each test checks exactly what one step put on the
 // wire — the grant of a free object, the RTS park and the Alg. 4 hand-off,
 // grant-loss recovery, the resend table (the committer's hand-offs and
-// remote lock releases) and its resends, withdrawal forwarding and the lock
-// verdict.
+// remote lock releases) and its resends, withdrawal forwarding, a re-executed
+// hand-off and the lock verdict.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -253,6 +254,37 @@ TEST_F(OwnerCore, WithdrawalAtANonOwnerFollowsTheHintUpToTheHopBound) {
   owner.handle(request(2, 0, net::NotInterested{kOid, second, 2}));
   EXPECT_TRUE(comm.take().empty());
   EXPECT_EQ(metrics.snapshot().not_interested, 2u);
+}
+
+TEST_F(OwnerCore, ReexecutedHandoffLeavesANewerCopy) {
+  // Node 0 handed the object on at clock 10 and has since taken it back at
+  // clock 20. A resend of the old CommitRequest that outlived the reply
+  // cache runs the step again: the newer copy and the hint stay, and the
+  // reply hands over no queue.
+  const ObjectSnapshot newer = std::make_shared<Box>(kOid, 9);
+  owner.install(newer, Version{20, 0});
+  const net::CommitRequest stale{kOid, first, Version{10, 1}, 1};
+  const auto expect_left_alone = [&](std::uint64_t msg_id) {
+    owner.handle(request(1, msg_id, stale));
+    const auto sent = comm.take();
+    ASSERT_EQ(sent.size(), 1u);
+    EXPECT_EQ(sent[0].kind, Sent::Kind::kReply);
+    EXPECT_EQ(sent[0].reply_to, msg_id);
+    EXPECT_TRUE(std::get<net::CommitResponse>(sent[0].payload).queue.empty());
+    ASSERT_EQ(owner.owned_copy(kOid), newer);
+    EXPECT_EQ(owner.store().get(kOid)->version, (Version{20, 0}));
+    EXPECT_EQ(owner.known_owner(kOid), std::optional<NodeId>{0});
+  };
+  ASSERT_NO_FATAL_FAILURE(expect_left_alone(11));
+
+  // While a newer commit holds the copy, the lock and the parked requester
+  // stay too.
+  ASSERT_EQ(owner.lock(kOid, committer, 20), dsm::ObjectStore::LockResult::kGranted);
+  owner.handle(request(2, 12, object_request(second)));
+  ASSERT_EQ(comm.take().size(), 1u);  // the park reply
+  ASSERT_NO_FATAL_FAILURE(expect_left_alone(13));
+  EXPECT_EQ(owner.store().get(kOid)->locked_by, committer);
+  EXPECT_EQ(owner.queued_requesters(), 1u);
 }
 
 TEST_F(OwnerCore, RemoteReleaseSendsOneAbortUnlock) {

@@ -73,6 +73,37 @@ TEST(Report, CollectsPerNodeState) {
   cluster.shutdown();
 }
 
+// The per-kind counts split the message total, and the report names each
+// kind that was sent.
+TEST(Report, CountsMessagesByKind) {
+  workloads::WorkloadConfig wcfg;
+  wcfg.local_work = 0;
+  auto wl = workloads::make_workload("dht", wcfg);
+  runtime::ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.workers_per_node = 0;
+  cfg.topology.min_delay = sim_us(1);
+  cfg.topology.max_delay = sim_us(20);
+  runtime::Cluster cluster(cfg);
+  wl->setup(cluster);
+  Xoshiro256 rng(4);
+  for (int i = 0; i < 10; ++i) {
+    const auto op = wl->next_op(1, rng);
+    ASSERT_TRUE(cluster.execute(1, op.profile, op.body).committed);
+  }
+  cluster.network().wait_idle();
+  const auto report = runtime::collect_report(cluster);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t n : report.messages_by_kind) sum += n;
+  EXPECT_EQ(sum, report.messages);
+  const std::size_t fetches = net::Payload(net::ObjectRequest{}).index();
+  EXPECT_GT(report.messages_by_kind[fetches], 0u);
+  EXPECT_NE(report.to_string().find(" ObjectRequest=" +
+                                    std::to_string(report.messages_by_kind[fetches])),
+            std::string::npos);
+  cluster.shutdown();
+}
+
 // Commit latency recorded by the TFA runtime must surface in the aggregated
 // report: non-zero percentiles in `totals` and a latency line in the text.
 TEST(Report, LatencyPercentilesPropagate) {

@@ -161,6 +161,12 @@ TEST(Stress, CommittedVersionsStrictlyIncreasePerObject) {
 
 // ------------------------------------------------------- message economy ---
 
+// Messages of payload kind T the cluster's network has carried so far.
+template <typename T>
+std::uint64_t sent_of(runtime::Cluster& cluster) {
+  return cluster.network().stats().by_kind[net::Payload(T{}).index()].load();
+}
+
 TEST(Stress, ReadOnlyTransactionsSendNoLockOrCommitTraffic) {
   runtime::ClusterConfig cfg;
   cfg.nodes = 3;
@@ -174,6 +180,13 @@ TEST(Stress, ReadOnlyTransactionsSendNoLockOrCommitTraffic) {
   cluster.execute(0, 1, [&](tfa::Txn& tx) { (void)tx.read<Cell>(oid); });
   cluster.network().wait_idle();
   const auto before = cluster.network().stats().messages.load();
+  const auto commit_traffic = [&] {
+    return std::vector<std::uint64_t>{
+        sent_of<net::LockRequest>(cluster), sent_of<net::ValidateRequest>(cluster),
+        sent_of<net::RegisterOwnerRequest>(cluster), sent_of<net::CommitRequest>(cluster),
+        sent_of<net::AbortUnlock>(cluster)};
+  };
+  const auto commit_before = commit_traffic();
   ASSERT_TRUE(cluster.execute(0, 1, [&](tfa::Txn& tx) {
     (void)tx.read<Cell>(oid).value;
   }).committed);
@@ -183,6 +196,36 @@ TEST(Stress, ReadOnlyTransactionsSendNoLockOrCommitTraffic) {
   // commit validation entirely; no find-owner (hint cached), no locks, no
   // registration, no transfer.
   EXPECT_LE(sent, 2u);
+  // A resend of the fetch is an ObjectRequest, so no host stall moves these.
+  EXPECT_EQ(commit_traffic(), commit_before)
+      << "lock, validate, register, commit or unlock traffic from a read-only commit";
+  cluster.shutdown();
+}
+
+TEST(Stress, ChildWritesAreValidatedOnlyByTheRootsLocks) {
+  // On a fresh cluster every clock reads 0, so no reply forwards the root
+  // and no forwarding round runs: the only validation rounds are the
+  // child's and the commit's.
+  runtime::ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.workers_per_node = 0;
+  runtime::Cluster cluster(cfg);
+  const ObjectId a{4247};
+  const ObjectId b{4248};
+  cluster.create_object(std::make_unique<Cell>(a), 2);
+  cluster.create_object(std::make_unique<Cell>(b), 2);
+
+  ASSERT_TRUE(cluster.execute(0, 1, [&](tfa::Txn& tx) {
+    tx.nested([&](tfa::Txn& child) {
+      child.write<Cell>(a).value += 1;
+      child.write<Cell>(b).value += 1;
+    });
+  }).committed);
+  cluster.network().wait_idle();
+  // Each write is checked once, by the root's lock; the child's round,
+  // which asks only about the child's reads, sends nothing.
+  EXPECT_EQ(sent_of<net::LockRequest>(cluster), 2u);
+  EXPECT_EQ(sent_of<net::ValidateRequest>(cluster), 0u);
   cluster.shutdown();
 }
 

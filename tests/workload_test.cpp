@@ -363,12 +363,12 @@ TEST(IntSetWorkloads, SequentialRunIsPinned) {
     std::uint64_t digest;
   };
   const Pin pins[] = {
-      {"linked-list", 1, 0xb4621cc5772bba87ull},
-      {"linked-list", 2, 0x96a29007eae838abull},
-      {"bst", 1, 0x22204bf064f8f871ull},
-      {"bst", 2, 0x7006d52806b01c77ull},
-      {"rb-tree", 1, 0x702b515691f3b53dull},
-      {"rb-tree", 2, 0xddb9374e3468347bull},
+      {"linked-list", 1, 0x72432e738d3c5183ull},
+      {"linked-list", 2, 0xbf4a5e94484553d1ull},
+      {"bst", 1, 0x6502807a8764f3edull},
+      {"bst", 2, 0xecab5d69e46f5c0bull},
+      {"rb-tree", 1, 0x6160ab58f1eb41e5ull},
+      {"rb-tree", 2, 0xd7de2c662ebb286bull},
   };
   for (const Pin& pin : pins) {
     EXPECT_EQ(sequential_digest(pin.workload, pin.seed), pin.digest)
