@@ -43,13 +43,12 @@ bool ObjectStore::unlock(ObjectId oid, TxnId txid) {
 }
 
 ObjectStore::ValidateResult ObjectStore::validate(ObjectId oid,
-                                                  std::uint64_t expected_clock,
-                                                  TxnId reader) const {
+                                                  std::uint64_t expected_clock) const {
   auto it = slots_.find(oid);
   if (it == slots_.end()) return ValidateResult::kNotOwner;
   const Slot& slot = it->second;
-  if (slot.version.clock != expected_clock) return ValidateResult::kInvalid;
-  if (slot.locked_by.valid() && slot.locked_by != reader) return ValidateResult::kInvalid;
+  if (slot.version.clock != expected_clock || slot.locked_by.valid())
+    return ValidateResult::kInvalid;
   return ValidateResult::kValid;
 }
 

@@ -54,9 +54,9 @@ class ObjectStore {
   enum class ValidateResult { kValid, kInvalid, kNotOwner };
 
   // Read-set validation: current version must match and the slot must not
-  // be mid-commit under someone else (a locked slot is about to change).
-  // `reader` may hold its own commit lock on the slot (read+write upgrade).
-  ValidateResult validate(ObjectId oid, std::uint64_t expected_clock, TxnId reader) const;
+  // be mid-commit (a locked slot is about to change). A commit validates
+  // only its reads, never a slot it locked.
+  ValidateResult validate(ObjectId oid, std::uint64_t expected_clock) const;
 
   // Ownership moved away: drop the slot. Returns the evicted view.
   std::optional<SlotView> evict(ObjectId oid, TxnId committer);

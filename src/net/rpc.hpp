@@ -13,7 +13,7 @@
 //
 // A reply that finds no registered call is an *orphan*; for a granted
 // object this triggers the paper's "not interested → forward to the next
-// enqueued transaction" protocol, owned by the node handler.
+// enqueued transaction" protocol, owned by the node's owner side.
 #pragma once
 
 #include <condition_variable>

@@ -70,7 +70,7 @@ void Node::handle_message(net::Message msg) {
   if (msg.reply_to != 0) {
     // No call awaits it: the answer to a request in the owner side's resend
     // table, or an orphan.
-    if (!pending_.deliver(msg) && !owner_.take_reply(msg)) runtime_.handle_orphan_reply(msg);
+    if (!pending_.deliver(msg)) owner_.take_reply(msg);
     return;
   }
   const auto seen = reply_cache_.admit(msg.msg_id);

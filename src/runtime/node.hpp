@@ -2,9 +2,9 @@
 // and the TFA requester engine, glued to the network through the Comm facade.
 //
 // Message flow: the Network's dispatcher calls handle_message(); replies are
-// routed to the node's pending calls, the answer to a request in the
-// OwnerCore's resend table goes to the OwnerCore (other orphans trigger the
-// NotInterested protocol), and requests go to the OwnerCore's handlers.
+// routed to the node's pending calls, a reply no call awaits (the answer to
+// a request in the OwnerCore's resend table, or an orphan) goes to the
+// OwnerCore, and requests go to the OwnerCore's handlers.
 // Worker threads run transactions through `runtime().run(...)`.
 #pragma once
 

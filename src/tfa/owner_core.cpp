@@ -25,12 +25,8 @@ OwnerCore::OwnerCore(const TfaConfig& cfg, const core::SchedulerConfig& schedule
 
 void OwnerCore::handle(const net::Message& msg) {
   MutexLock lk(mu_);
-  if (std::holds_alternative<net::FindOwnerRequest>(msg.payload)) return on_find_owner(msg);
-  if (std::holds_alternative<net::RegisterOwnerRequest>(msg.payload))
-    return on_register_owner(msg);
+  if (auto resp = answer_held(msg.payload)) return comm_.reply(msg, std::move(*resp));
   if (std::holds_alternative<net::ObjectRequest>(msg.payload)) return on_object_request(msg);
-  if (std::holds_alternative<net::LockRequest>(msg.payload)) return on_lock(msg);
-  if (std::holds_alternative<net::ValidateRequest>(msg.payload)) return on_validate(msg);
   if (std::holds_alternative<net::CommitRequest>(msg.payload)) return on_commit(msg);
   if (std::holds_alternative<net::AbortUnlock>(msg.payload)) return on_abort_unlock(msg);
   if (std::holds_alternative<net::NotInterested>(msg.payload)) return on_not_interested(msg);
@@ -40,7 +36,15 @@ void OwnerCore::handle(const net::Message& msg) {
 
 bool OwnerCore::take_reply(const net::Message& reply) {
   MutexLock lk(mu_);
-  if (unanswered_.erase(reply.reply_to) == 0) return false;
+  if (unanswered_.erase(reply.reply_to) == 0) {
+    // Only a granted object needs the NotInterested protocol: the
+    // requester's backoff expired before the hand-off arrived (Alg. 4
+    // else-branch).
+    if (const auto* resp = std::get_if<net::ObjectResponse>(&reply.payload);
+        resp && resp->object)
+      comm_.post(reply.from, net::NotInterested{resp->oid, resp->txid});
+    return false;
+  }
   if (const auto* resp = std::get_if<net::CommitResponse>(&reply.payload)) {
     // Alg. 4: the node invoking the committed transaction receives the
     // requester lists.
@@ -83,22 +87,19 @@ void OwnerCore::sweep(SimTime now) {
   }
 }
 
-void OwnerCore::on_find_owner(const net::Message& msg) {
-  const auto& req = std::get<net::FindOwnerRequest>(msg.payload);
-  const auto owner = directory_.lookup(req.oid);
-  net::FindOwnerResponse resp;
-  resp.oid = req.oid;
-  resp.owner = owner.value_or(kInvalidNode);
-  resp.known = owner.has_value();
-  comm_.reply(msg, resp);
-}
-
-void OwnerCore::on_register_owner(const net::Message& msg) {
-  const auto& req = std::get<net::RegisterOwnerRequest>(msg.payload);
-  net::RegisterOwnerResponse resp;
-  resp.oid = req.oid;
-  resp.ok = directory_.register_owner(req.oid, req.new_owner, req.version_clock);
-  comm_.reply(msg, resp);
+std::optional<net::Payload> OwnerCore::answer_held(const net::Payload& request) {
+  if (const auto* req = std::get_if<net::FindOwnerRequest>(&request)) {
+    const auto owner = directory_.lookup(req->oid);
+    return net::FindOwnerResponse{req->oid, owner.value_or(kInvalidNode), owner.has_value()};
+  }
+  if (const auto* req = std::get_if<net::RegisterOwnerRequest>(&request))
+    return net::RegisterOwnerResponse{
+        req->oid, directory_.register_owner(req->oid, req->new_owner, req->version_clock)};
+  if (const auto* req = std::get_if<net::LockRequest>(&request))
+    return net::LockResponse{req->oid, store_.lock(req->oid, req->txid, req->expected_clock)};
+  if (const auto* req = std::get_if<net::ValidateRequest>(&request))
+    return net::ValidateResponse{req->oid, store_.validate(req->oid, req->expected_clock)};
+  return std::nullopt;
 }
 
 void OwnerCore::on_object_request(const net::Message& msg) {
@@ -147,18 +148,6 @@ void OwnerCore::on_object_request(const net::Message& msg) {
   resp.backoff = decision.backoff;
   resp.enqueued = decision.action == core::ConflictAction::kEnqueue;
   comm_.reply(msg, resp);
-}
-
-void OwnerCore::on_lock(const net::Message& msg) {
-  const auto& req = std::get<net::LockRequest>(msg.payload);
-  comm_.reply(msg,
-              net::LockResponse{req.oid, store_.lock(req.oid, req.txid, req.expected_clock)});
-}
-
-void OwnerCore::on_validate(const net::Message& msg) {
-  const auto& req = std::get<net::ValidateRequest>(msg.payload);
-  comm_.reply(msg, net::ValidateResponse{
-                       req.oid, store_.validate(req.oid, req.expected_clock, kInvalidTxn)});
 }
 
 void OwnerCore::on_commit(const net::Message& msg) {
@@ -239,16 +228,11 @@ void OwnerCore::forget_owner(ObjectId oid) {
   hints_.erase(oid);
 }
 
-dsm::ObjectStore::ValidateResult OwnerCore::validate(ObjectId oid,
-                                                     std::uint64_t expected_clock) {
+net::Payload OwnerCore::answer(const net::Payload& request) {
   MutexLock lk(mu_);
-  return store_.validate(oid, expected_clock, kInvalidTxn);
-}
-
-dsm::ObjectStore::LockResult OwnerCore::lock(ObjectId oid, TxnId txid,
-                                             std::uint64_t expected_clock) {
-  MutexLock lk(mu_);
-  return store_.lock(oid, txid, expected_clock);
+  auto resp = answer_held(request);
+  HYFLOW_ASSERT_MSG(resp.has_value(), "answer() of a request that is not answered at once");
+  return std::move(*resp);
 }
 
 void OwnerCore::release(ObjectId oid, TxnId txid, NodeId owner) {

@@ -16,10 +16,12 @@
 // arrives.
 //
 // The steps are the nine request handlers (handle), the answer to a request
-// in the resend table, the sweep (grant recovery and resends), the requester
-// path's local steps (a local lock, validation or release runs the same code
-// as the handler of the matching request; a commit installs its new copies
-// here) and the placement and audit calls of the cluster and the reports.
+// in the resend table or an orphan reply (take_reply), the sweep (grant
+// recovery and resends), the requester path's local steps (answer, the reply
+// of handle() to a lookup, registration, lock or validation, taken in place
+// of a request to this node; a local release runs the same code as the
+// handler of AbortUnlock; a commit installs its new copies here) and the
+// placement and audit calls of the cluster and the reports.
 // docs/CONCURRENCY.md states the rule.
 #pragma once
 
@@ -58,10 +60,12 @@ class OwnerCore {
   // NotInterested or GrantAck.
   void handle(const net::Message& msg) EXCLUDES(mu_);
 
-  // The answer to a request in the resend table: drops its record and, for
-  // a CommitResponse, absorbs the requester queue the old owner returns and
-  // serves it. False if no record matches (an orphan, or a duplicated or
-  // replayed answer), and then it changes nothing.
+  // A reply no pending call took. The answer to a request in the resend
+  // table drops its record and, for a CommitResponse, absorbs the requester
+  // queue the old owner returns and serves it. False if no record matches:
+  // an orphan, or a duplicated or replayed answer. An orphan granted object
+  // is declined to its sender by a NotInterested, so that it serves its next
+  // requester; any other changes nothing.
   bool take_reply(const net::Message& reply) EXCLUDES(mu_);
 
   // Grant-loss recovery: forgets every Alg. 4 grant whose GrantAck is overdue
@@ -72,6 +76,10 @@ class OwnerCore {
 
   // ---- the requester path's local steps ----
 
+  // The owner's answer to a request it answers at once: a FindOwner,
+  // RegisterOwner, Lock or Validate request. handle() replies with it, and
+  // the requester path takes it in place of a request to this node.
+  net::Payload answer(const net::Payload& request) EXCLUDES(mu_);
   // Find_owner without the directory: this node if its store holds `oid`,
   // else the owner hint, if any.
   std::optional<NodeId> known_owner(ObjectId oid) EXCLUDES(mu_);
@@ -80,10 +88,6 @@ class OwnerCore {
   // The hint for `oid` proved stale.
   void forget_owner(ObjectId oid) EXCLUDES(mu_);
 
-  dsm::ObjectStore::ValidateResult validate(ObjectId oid, std::uint64_t expected_clock)
-      EXCLUDES(mu_);
-  dsm::ObjectStore::LockResult lock(ObjectId oid, TxnId txid, std::uint64_t expected_clock)
-      EXCLUDES(mu_);
   // Releases `txid`'s commit lock on `oid` at `owner`: in place, serving the
   // object's queue, if `owner` is this node, else by an AbortUnlock recorded
   // in the resend table.
@@ -124,11 +128,9 @@ class OwnerCore {
   Mutex& mutex() RETURN_CAPABILITY(mu_) { return mu_; }
 
  private:
-  void on_find_owner(const net::Message& msg) REQUIRES(mu_);
-  void on_register_owner(const net::Message& msg) REQUIRES(mu_);
+  // answer()'s step under the held mutex; nullopt for any other request.
+  std::optional<net::Payload> answer_held(const net::Payload& request) REQUIRES(mu_);
   void on_object_request(const net::Message& msg) REQUIRES(mu_);
-  void on_lock(const net::Message& msg) REQUIRES(mu_);
-  void on_validate(const net::Message& msg) REQUIRES(mu_);
   void on_commit(const net::Message& msg) REQUIRES(mu_);
   void on_abort_unlock(const net::Message& msg) REQUIRES(mu_);
   void on_not_interested(const net::Message& msg) REQUIRES(mu_);

@@ -1,13 +1,13 @@
 // Read/write sets.
 //
 // Each nesting level of a transaction keeps its own AccessSet. An entry
-// records the snapshot as fetched (or as inherited from an ancestor), the
-// private working copy if the level wrote the object, the version the
-// fetch observed, where the object came from, and when it was last shown
-// current. On closed-nested commit the child's entries merge into the
-// parent (the inherited objects — and with them, the fetch round-trips
-// already paid — survive the child); on child abort the child's set is
-// simply dropped.
+// records the snapshot as fetched (or, for a child's write, as inherited
+// from an ancestor), the private working copy if the level wrote the
+// object, the version the fetch observed, where the object came from, and
+// when it was last shown current. On closed-nested commit the child's
+// entries merge into the parent (the inherited objects — and with them,
+// the fetch round-trips already paid — survive the child); on child abort
+// the child's set is simply dropped.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,7 @@ struct AccessEntry {
   net::AccessMode mode = net::AccessMode::kRead;
   NodeId owner_hint = kInvalidNode;           // who served the fetch
   std::uint32_t owner_cl = 0;                 // local CL piggy-backed on the fetch
-  bool inherited = false;  // views an ancestor's entry; never merged/validated here
+  bool inherited = false;  // a child's write view of an ancestor's entry; never validated here
   // Fetch counts (Transaction::fetches): the count this entry's fetch made,
   // and the count when the last round that found it current began.
   std::uint64_t fetched_at = 0;

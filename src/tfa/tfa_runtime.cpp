@@ -122,9 +122,11 @@ AbortCause empty_wait_cause(const net::RequestCall& call) {
 
 AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::AccessMode mode) {
   // Already in the transaction tree? Serve it locally — the fetched object
-  // (and its round-trips) are reused across nesting levels.
+  // (and its round-trips) are reused across nesting levels. A read takes the
+  // entry as it is; a child's first write to an ancestor's entry makes a view
+  // that holds the write until the child merges.
   if (auto found = leaf.find_up(oid); found.entry) {
-    if (found.depth == leaf.depth()) {
+    if (found.depth == leaf.depth() || mode == net::AccessMode::kRead) {
       if (mode == net::AccessMode::kWrite) found.entry->mutable_copy();
       return *found.entry;
     }
@@ -134,10 +136,9 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
                     ? std::shared_ptr<const AbstractObject>(found.entry->working)
                     : found.entry->base;
     view.version = found.entry->version;
-    view.mode = mode;
     view.owner_hint = found.entry->owner_hint;
     AccessEntry& e = leaf.set().insert(oid, std::move(view));
-    if (mode == net::AccessMode::kWrite) e.mutable_copy();
+    e.mutable_copy();
     return e;
   }
 
@@ -145,7 +146,7 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
   Transaction& root = leaf.root();
   for (int attempt = 0; attempt < kMaxOwnerRetries; ++attempt) {
     const auto owner = find_owner(oid);
-    if (!owner) abort_txn(AbortCause::kShutdown, 0);
+    if (!owner) abort_txn(AbortCause::kShutdown, 0);  // unknown to its directory
 
     net::ObjectRequest req;
     req.oid = oid;
@@ -216,17 +217,27 @@ AccessEntry& TfaRuntime::open_object(Transaction& leaf, ObjectId oid, net::Acces
 
 std::optional<NodeId> TfaRuntime::find_owner(ObjectId oid) {
   if (const auto known = owner_.known_owner(oid)) return known;
-  auto call =
-      comm_.request(dsm::home_node(oid, comm_.cluster_size()), net::FindOwnerRequest{oid});
-  const auto reply = net::reliable_wait(comm_, call, comm_.retry_policy());
-  if (!reply) return std::nullopt;  // shutdown, or retry budget exhausted
-  const auto& resp = std::get<net::FindOwnerResponse>(reply->payload);
-  if (!resp.known) {
+  // A round of one item: the home node's directory.
+  std::vector<RoundItem> home;
+  home.push_back(RoundItem{oid, nullptr, dsm::home_node(oid, comm_.cluster_size())});
+  std::optional<NodeId> owner;
+  run_round(home, {
+      .policy = comm_.retry_policy(),
+      .request = [](const RoundItem& it) -> net::Payload {
+        return net::FindOwnerRequest{it.oid};
+      },
+      .verdict = [&](const RoundItem&, const net::Payload& answer) {
+        const auto& resp = std::get<net::FindOwnerResponse>(answer);
+        if (resp.known) owner = resp.owner;
+      },
+      .fail = [&](AbortCause cause, const RoundItem&) { abort_txn(cause, 0); },
+  });
+  if (!owner) {
     HYFLOW_WARN("find_owner: object ", oid.value, " unknown to directory");
     return std::nullopt;
   }
-  owner_.note_owner(oid, resp.owner);
-  return resp.owner;
+  owner_.note_owner(oid, *owner);
+  return owner;
 }
 
 AccessEntry& TfaRuntime::admit_granted(Transaction& leaf, ObjectId oid, net::AccessMode mode,
@@ -289,9 +300,6 @@ void TfaRuntime::validate_chain(Transaction& top, Scope scope) {
   }
   run_round(items, {
       .policy = comm_.retry_policy(),
-      .local = [&](const RoundItem& it) -> net::Payload {
-        return net::ValidateResponse{it.oid, owner_.validate(it.oid, it.entry->version.clock)};
-      },
       .request = [](const RoundItem& it) -> net::Payload {
         return net::ValidateRequest{it.oid, it.entry->version.clock};
       },
@@ -309,8 +317,8 @@ void TfaRuntime::validate_chain(Transaction& top, Scope scope) {
 
 void TfaRuntime::run_round(std::vector<RoundItem>& items, const Round& round) {
   for (RoundItem& it : items) {
-    if (round.local && it.target == comm_.self()) {
-      round.verdict(it, round.local(it));
+    if (it.target == comm_.self()) {
+      round.verdict(it, owner_.answer(round.request(it)));
       it.done = true;
     } else {
       it.call.emplace(comm_.request(it.target, round.request(it)));
@@ -402,9 +410,6 @@ void TfaRuntime::lock_write_set(TxnId txid, std::vector<RoundItem>& writes) {
   };
   run_round(writes, {
       .policy = comm_.retry_policy(),
-      .local = [&](const RoundItem& w) -> net::Payload {
-        return net::LockResponse{w.oid, owner_.lock(w.oid, txid, w.entry->version.clock)};
-      },
       .request = [&](const RoundItem& w) -> net::Payload {
         return net::LockRequest{w.oid, txid, w.entry->version.clock};
       },
@@ -425,8 +430,8 @@ void TfaRuntime::register_write_set(TxnId txid, const std::vector<RoundItem>& wr
   // Global registration of object ownership — deliberately inside the
   // validation window (locks held): this is the long stretch during which
   // conflicting requesters hit the scheduler (§II). The window is one
-  // directory round-trip, not one per object. A home node that is this node
-  // gets a request too: registration has no local step.
+  // directory round-trip, not one per object; this node's own directory
+  // shard registers in place.
   std::vector<RoundItem> homes;
   for (const RoundItem& w : writes)
     homes.push_back(RoundItem{w.oid, w.entry, dsm::home_node(w.oid, comm_.cluster_size())});
@@ -473,18 +478,6 @@ void TfaRuntime::publish_write_set(Transaction& root, const std::vector<RoundIte
     } else {
       owner_.commit_handoff(w.target, txid, std::move(snapshot), version);
     }
-  }
-}
-
-void TfaRuntime::handle_orphan_reply(const net::Message& msg) {
-  // Only a granted object needs the NotInterested protocol: the requester's
-  // backoff expired before the hand-off arrived (Alg. 4 else-branch).
-  if (const auto* resp = std::get_if<net::ObjectResponse>(&msg.payload);
-      resp && resp->object) {
-    net::NotInterested ni;
-    ni.oid = resp->oid;
-    ni.txid = resp->txid;
-    comm_.post(msg.from, ni);
   }
 }
 

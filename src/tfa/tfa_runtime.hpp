@@ -16,13 +16,15 @@
 // each old owner's requester queue when its reply lands and serves it with
 // the fresh object (Alg. 4).
 //
-// Locking, validation (forwarding, closed-nested child, commit) and
-// registration are rounds; run_round is the one place a round is written,
-// and each phase supplies only its request, its verdict and its clean-up.
+// The directory lookup, locking, validation (forwarding, closed-nested
+// child, commit) and registration are rounds; run_round is the one place a
+// round is written, and each phase supplies only its request, its verdict
+// and its clean-up.
 //
-// The owner side lives in tfa::OwnerCore. Where an object is owned by this
-// node, the requester path calls the OwnerCore step that the matching
-// request handler runs, instead of sending itself a message.
+// The owner side lives in tfa::OwnerCore. A round item whose target is this
+// node takes OwnerCore::answer, the answer its request handler replies with,
+// in place of a request to itself. A fetch, which may park, is always sent,
+// and a hand-off never goes to this node.
 #pragma once
 
 #include <atomic>
@@ -120,19 +122,15 @@ class TfaRuntime {
   // Commit protocol for the root; throws AbortException on failure.
   void commit_root(Transaction& root);
 
-  // A granted object arrived for a call that has ended: tell the sender we are
-  // no longer interested so it forwards the object to the next requester.
-  void handle_orphan_reply(const net::Message& msg);
-
   runtime::NodeMetrics& metrics() { return metrics_; }
   const TfaConfig& config() const { return cfg_; }
 
  private:
   friend class Txn;
 
-  // One object of a round: its entry, the node that answers for it (owner or
-  // home node), the depth an abort is charged to, whether its answer passed
-  // the verdict, and its call in flight.
+  // One object of a round: its entry (none for a lookup), the node that
+  // answers for it (owner or home node), the depth an abort is charged to,
+  // whether its answer passed the verdict, and its call in flight.
   struct RoundItem {
     ObjectId oid;
     AccessEntry* entry;
@@ -141,14 +139,11 @@ class TfaRuntime {
     bool done = false;
     std::optional<net::RequestCall> call{};
   };
-  // What a phase supplies to run_round. `local` is the OwnerCore step for an
-  // item this node owns and returns the answer the owner's handler would
-  // send; without it every item gets a request. `verdict` reads an answer
-  // and returns if it succeeds; any other answer, not-owner included, cleans
-  // up and throws, as `fail` does for a silent target.
+  // What a phase supplies to run_round. `verdict` reads an answer and
+  // returns if it succeeds; any other answer, not-owner included, cleans up
+  // and throws, as `fail` does for a silent target.
   struct Round {
     net::RetryPolicy policy;
-    std::function<net::Payload(const RoundItem&)> local{};
     std::function<net::Payload(const RoundItem&)> request;
     std::function<void(const RoundItem&, const net::Payload&)> verdict;
     std::function<void(AbortCause, const RoundItem&)> fail;
@@ -163,7 +158,9 @@ class TfaRuntime {
   };
 
   // Find_owner: this node if its own store holds the object, else the owner
-  // hint, else the home node's directory.
+  // hint, else the home node's directory. A silent home node aborts the
+  // transaction as the wait's cause; nullopt if the directory does not know
+  // the object.
   std::optional<NodeId> find_owner(ObjectId oid);
   void forward_if_needed(Transaction& root, std::uint64_t observed_clock);
   // Early-validates the entries in `scope` fetched at `top` or below it: the
@@ -177,9 +174,9 @@ class TfaRuntime {
                              const net::Message& reply);
   [[noreturn]] void abort_txn(AbortCause cause, int locus, SimDuration stall = 0);
 
-  // Runs one round over `items`: runs the local step or sends the request of
-  // each item, then reads the answers in item order. It returns once every
-  // answer passed its verdict; there is no second pass.
+  // Runs one round over `items`: takes this node's own answer in place or
+  // sends the request of each item, then reads the answers in item order. It
+  // returns once every answer passed its verdict; there is no second pass.
   void run_round(std::vector<RoundItem>& items, const Round& round);
 
   // Commit-phase helpers; a write item's target is the object's owner.

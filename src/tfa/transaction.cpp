@@ -17,7 +17,6 @@ void Transaction::merge_into_parent() {
   for (auto& [oid, ce] : set_) {
     AccessEntry* pe = up.find(oid);
     if (ce.inherited) {
-      if (!ce.working) continue;  // pure read view of an ancestor's object
       if (pe) {
         // Fold the buffered write into the parent's entry (real or itself
         // pending); the parent now carries the child's effect.

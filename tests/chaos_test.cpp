@@ -9,7 +9,8 @@
 // no stranded queues) and safety (exact balance conservation). The
 // long-window runs darken a node, or cut the cluster, for many times any
 // retry budget, and check that every request resent until answered leaves
-// one unlocked owner per object, named by its directory.
+// one unlocked owner per object, named by its directory. A lookup whose home
+// node stays dark past its budget aborts as a watchdog and retries.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/scheduler.hpp"
+#include "dsm/directory.hpp"
 #include "net/fault_injector.hpp"
 #include "net/message.hpp"
 #include "quiesce_audit.hpp"
@@ -302,6 +304,38 @@ void run_long_fault(net::FaultPlan plan) {
     expect_single_owners(cluster);
     cluster.shutdown();
   }
+}
+
+TEST(Chaos, DarkHomeNodeDelaysALookupWithoutDroppingTheTransaction) {
+  // Node 1, the home of the account, is dark for the first 150 ms; node 2
+  // owns it. Node 0's lookup outlasts a 2 ms / 4 ms / 2-resend budget many
+  // times over: each time the budget runs out, the transaction aborts as a
+  // watchdog and retries, until the home node answers.
+  net::FaultPlan plan;
+  plan.crashes.push_back({/*node=*/1, /*start=*/0, /*end=*/sim_ms(150)});
+  runtime::ClusterConfig cfg;
+  cfg.nodes = 3;
+  cfg.workers_per_node = 0;
+  cfg.fault = plan;
+  cfg.rpc.base_timeout = sim_ms(2);
+  cfg.rpc.max_timeout = sim_ms(4);
+  cfg.rpc.max_retries = 2;
+  runtime::Cluster cluster(cfg);
+  const ObjectId oid{4251};
+  ASSERT_EQ(dsm::home_node(oid, cluster.size()), 1u);
+  cluster.create_object(std::make_unique<workloads::Account>(oid, 7), 2);
+
+  std::int64_t balance = 0;
+  const auto res = cluster.execute(
+      0, 1, [&](tfa::Txn& tx) { balance = tx.read<workloads::Account>(oid).balance(); });
+  EXPECT_TRUE(res.committed);
+  EXPECT_GT(res.attempts, 1u);
+  EXPECT_EQ(balance, 7);
+  const auto counted = cluster.total_metrics();
+  EXPECT_EQ(counted.aborts_root[static_cast<std::size_t>(tfa::AbortCause::kShutdown)], 0u);
+  EXPECT_EQ(counted.aborts_root[static_cast<std::size_t>(tfa::AbortCause::kWatchdog)],
+            res.attempts - 1);
+  cluster.shutdown();
 }
 
 TEST(Chaos, LongCrashWindowWedgesNothing) {

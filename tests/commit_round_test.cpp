@@ -1,14 +1,15 @@
 // The requester side of TFA's commit without a network: a scripted net::Comm
 // answers each request and each resend at once from the test's script, or
 // stays silent, and records everything node 0 sends, while a real OwnerCore
-// runs node 0's local steps. Each test pins the order, destination and
-// payload of every message one root transaction sends through its commit
+// answers node 0's own items in place. Each test pins the order, destination
+// and payload of every message one root transaction sends through its commit
 // rounds (lock the write set, validate the reads, register ownership, hand
 // off) and how it aborts. The order pinned is the order of sends, not of
 // concurrent arrivals.
 //
 // Node 0 of 4. The root writes object 9 (owned here, home node 0), 11 (at
 // node 1, home 1) and 13 (at node 2, home 3), and it reads 12 (at node 2).
+// Object 6 (at node 1, home node 0) is known to node 0's directory alone.
 // The trees at the end read and write these objects in closed-nested
 // children and pin which reads a child's round carries, which a read-only
 // commit checks, and that a child's writes are checked by the root's locks.
@@ -36,6 +37,7 @@ class Box : public TxObject<Box> {
   int value;
 };
 
+constexpr ObjectId kHomedHere{6};
 constexpr ObjectId kLocal{9};
 constexpr ObjectId kAtOne{11};
 constexpr ObjectId kRead{12};
@@ -179,6 +181,7 @@ struct CommitRound : ::testing::Test {
         rt(tfa::TfaConfig{}, comm, owner, stats, clock, metrics) {
     comm.script = healthy;
     owner.install(std::make_shared<Box>(kLocal), Version{kReadClock, 0});
+    owner.publish(kHomedHere, 1);
     owner.note_owner(kAtOne, 1);
     owner.note_owner(kRead, 2);
     owner.note_owner(kAtTwo, 2);
@@ -235,18 +238,31 @@ TEST_F(CommitRound, CleanCommitSendsEachRoundTogether) {
   const auto res = run_root_once();
   EXPECT_TRUE(res.committed);
   EXPECT_EQ(res.attempts, 1u);
-  // The local lock is an owner step, not a message. Registration has no
-  // local step: home node 0 gets a request like the others.
+  // Node 0 answers its own lock and its own registration in place: neither
+  // is a message.
   EXPECT_EQ(comm.trace(), std::string(kOpens) +
                               " Lock(11@3)>1 Lock(13@3)>2"
                               " Validate(12@3)>2"
-                              " Register(9:0@6)>0 Register(11:0@6)>1 Register(13:0@6)>3"
+                              " Register(11:0@6)>1 Register(13:0@6)>3"
                               " async Commit(11@6:0)>1 async Commit(13@6:0)>2");
   EXPECT_EQ(clock.read(), kCommitClock);
   EXPECT_FALSE(locally_locked());
   EXPECT_EQ(owner.store().get(kLocal)->version, (Version{kCommitClock, 0}));
   EXPECT_EQ(owner.unanswered_requests(), 2u);
   EXPECT_EQ(metrics.snapshot().commits_write, 1u);
+}
+
+TEST_F(CommitRound, CleanCommitRegistersAtItsOwnDirectoryInPlace) {
+  ASSERT_TRUE(run_root_once().committed);
+  EXPECT_EQ(owner.directory_lookup(kLocal), std::optional<NodeId>{0});
+}
+
+TEST_F(CommitRound, LookupAtItsOwnHomeNodeSendsNothing) {
+  // Node 0 holds no hint for 6 and is its home node: its own directory
+  // names node 1, and the fetch goes there.
+  const auto res = run_once([](tfa::Txn& tx) { (void)tx.read<Box>(kHomedHere); });
+  EXPECT_TRUE(res.committed);
+  EXPECT_EQ(comm.trace(), "Object(6)>1");
 }
 
 TEST_F(CommitRound, BusyLockReleasesTheGrantedLocks) {
@@ -330,13 +346,14 @@ TEST_F(CommitRound, SilentLockIsReleasedToo) {
 }
 
 TEST_F(CommitRound, SilentRegistrationIsResentUntilAnswered) {
-  // Home node 0 leaves its registration unanswered for 8 sends, far past
-  // the one resend that every budgeted wait gets, and answers the ninth.
-  int sends_to_zero = 0;
-  comm.script = [&sends_to_zero](NodeId to,
-                                 const net::Payload& p) -> std::optional<net::Payload> {
-    if (std::holds_alternative<net::RegisterOwnerRequest>(p) && to == 0 &&
-        ++sends_to_zero <= 8)
+  // Home node 3 leaves its registration of 13 unanswered for 8 sends, far
+  // past the one resend that every budgeted wait gets, and answers the
+  // ninth.
+  int sends_to_three = 0;
+  comm.script = [&sends_to_three](NodeId to,
+                                  const net::Payload& p) -> std::optional<net::Payload> {
+    if (std::holds_alternative<net::RegisterOwnerRequest>(p) && to == 3 &&
+        ++sends_to_three <= 8)
       return std::nullopt;
     return healthy(to, p);
   };
@@ -347,10 +364,10 @@ TEST_F(CommitRound, SilentRegistrationIsResentUntilAnswered) {
   // Registration has no budget: it resends until the answer lands, then the
   // commit goes on as a clean one does.
   std::string resends;
-  for (int i = 0; i < 8; ++i) resends += " resend Register(9:0@6)>0";
+  for (int i = 0; i < 8; ++i) resends += " resend Register(13:0@6)>3";
   EXPECT_EQ(comm.trace(), std::string(kOpens) +
                               " Lock(11@3)>1 Lock(13@3)>2 Validate(12@3)>2"
-                              " Register(9:0@6)>0 Register(11:0@6)>1 Register(13:0@6)>3" +
+                              " Register(11:0@6)>1 Register(13:0@6)>3" +
                               resends + " async Commit(11@6:0)>1 async Commit(13@6:0)>2");
   EXPECT_FALSE(locally_locked());
   EXPECT_EQ(owner.store().get(kLocal)->version, (Version{kCommitClock, 0}));

@@ -3,7 +3,8 @@
 // wire — the grant of a free object, the RTS park and the Alg. 4 hand-off,
 // grant-loss recovery, the resend table (the committer's hand-offs and
 // remote lock releases) and its resends, withdrawal forwarding, a re-executed
-// hand-off and the lock verdict.
+// hand-off, the decline of an orphan grant, the directory's answers and the
+// lock verdict.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -116,11 +117,17 @@ struct OwnerCore : ::testing::Test {
     return std::get<net::ObjectResponse>(s.payload);
   }
 
+  // `txid`'s commit lock on the object, taken in place as node 0's own
+  // commit takes it.
+  dsm::ObjectStore::LockResult lock(TxnId txid, std::uint64_t expected_clock) {
+    const auto answer = owner.answer(net::LockRequest{kOid, txid, expected_clock});
+    return std::get<net::LockResponse>(answer).result;
+  }
+
   // Locks the object for `committer` and parks one waiter from each of
   // nodes 1 and 2 (request ids 11 and 12); checks both park replies.
   void park_two_waiters() {
-    ASSERT_EQ(owner.lock(kOid, committer, kVersion.clock),
-              dsm::ObjectStore::LockResult::kGranted);
+    ASSERT_EQ(lock(committer, kVersion.clock), dsm::ObjectStore::LockResult::kGranted);
     owner.handle(request(1, 11, object_request(first)));
     owner.handle(request(2, 12, object_request(second)));
     const auto sent = comm.take();
@@ -171,8 +178,7 @@ TEST_F(OwnerCore, FreeObjectIsGrantedWithItsCopy) {
 }
 
 TEST_F(OwnerCore, RtsParksOnALockedObjectAndReleaseHandsItOff) {
-  ASSERT_EQ(owner.lock(kOid, committer, kVersion.clock),
-            dsm::ObjectStore::LockResult::kGranted);
+  ASSERT_EQ(lock(committer, kVersion.clock), dsm::ObjectStore::LockResult::kGranted);
   EXPECT_TRUE(comm.take().empty());
   owner.handle(request(2, 12, object_request(second)));
   auto sent = comm.take();
@@ -279,7 +285,7 @@ TEST_F(OwnerCore, ReexecutedHandoffLeavesANewerCopy) {
 
   // While a newer commit holds the copy, the lock and the parked requester
   // stay too.
-  ASSERT_EQ(owner.lock(kOid, committer, 20), dsm::ObjectStore::LockResult::kGranted);
+  ASSERT_EQ(lock(committer, 20), dsm::ObjectStore::LockResult::kGranted);
   owner.handle(request(2, 12, object_request(second)));
   ASSERT_EQ(comm.take().size(), 1u);  // the park reply
   ASSERT_NO_FATAL_FAILURE(expect_left_alone(13));
@@ -501,6 +507,61 @@ TEST_F(OwnerCoreHandoff, SweepResendsPastAnyBudgetUntilAnswered) {
     owner.sweep(now + sim_ms(1000));
     EXPECT_TRUE(comm.take().empty());
   }
+}
+
+TEST_F(OwnerCore, OrphanGrantIsDeclinedToItsSender) {
+  // Node 2 granted the object to a call that had already ended: no record
+  // matches, and the owner side declines the grant so node 2 serves its
+  // next requester.
+  net::Message grant;
+  grant.from = 2;
+  grant.to = 0;
+  grant.reply_to = 77;
+  net::ObjectResponse resp;
+  resp.oid = kOid;
+  resp.txid = first;
+  resp.object = copy;
+  resp.version = kVersion;
+  resp.handoff = true;
+  grant.payload = resp;
+  EXPECT_FALSE(owner.take_reply(grant));
+  auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kPost);
+  EXPECT_EQ(sent[0].to, 2u);
+  const auto& declined = std::get<net::NotInterested>(sent[0].payload);
+  EXPECT_EQ(declined.oid, kOid);
+  EXPECT_EQ(declined.txid, first);
+  EXPECT_EQ(declined.hops, 0u);
+
+  // An orphan that grants nothing, a late park notice, is dropped.
+  resp.object = nullptr;
+  resp.handoff = false;
+  resp.enqueued = true;
+  grant.payload = resp;
+  EXPECT_FALSE(owner.take_reply(grant));
+  EXPECT_TRUE(comm.take().empty());
+}
+
+TEST_F(OwnerCore, DirectoryAnswersInPlaceAndByReply) {
+  constexpr ObjectId kHomed{44};
+  owner.publish(kHomed, 2);
+  const auto found =
+      std::get<net::FindOwnerResponse>(owner.answer(net::FindOwnerRequest{kHomed}));
+  EXPECT_TRUE(found.known);
+  EXPECT_EQ(found.owner, 2u);
+  // Node 0's own commit registers in place, and the handler's reply to a
+  // lookup reads the same shard.
+  EXPECT_TRUE(std::get<net::RegisterOwnerResponse>(
+                  owner.answer(net::RegisterOwnerRequest{kHomed, 0, 5}))
+                  .ok);
+  EXPECT_TRUE(comm.take().empty());
+  owner.handle(request(1, 11, net::FindOwnerRequest{kHomed}));
+  const auto sent = comm.take();
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(sent[0].kind, Sent::Kind::kReply);
+  EXPECT_EQ(sent[0].reply_to, 11u);
+  EXPECT_EQ(std::get<net::FindOwnerResponse>(sent[0].payload).owner, 0u);
 }
 
 TEST_F(OwnerCore, StaleLockRequestReportsTheVersionMismatch) {

@@ -202,6 +202,34 @@ TEST(Stress, ReadOnlyTransactionsSendNoLockOrCommitTraffic) {
   cluster.shutdown();
 }
 
+TEST(Stress, OneNodeWriteSendsOnlyItsFetches) {
+  // On one node every request is self-addressed. The node answers its own
+  // lookups, locks, validations and registrations in place; only a fetch,
+  // which may park, goes through the network.
+  runtime::ClusterConfig cfg;
+  cfg.nodes = 1;
+  cfg.workers_per_node = 0;
+  runtime::Cluster cluster(cfg);
+  const ObjectId a{4249};
+  const ObjectId b{4250};
+  cluster.create_object(std::make_unique<Cell>(a), 0);
+  cluster.create_object(std::make_unique<Cell>(b), 0);
+  ASSERT_TRUE(cluster.execute(0, 1, [&](tfa::Txn& tx) {
+    tx.write<Cell>(a).value += tx.read<Cell>(b).value + 1;
+  }).committed);
+  cluster.network().wait_idle();
+  const std::size_t request = net::Payload(net::ObjectRequest{}).index();
+  const std::size_t response = net::Payload(net::ObjectResponse{}).index();
+  const auto& by_kind = cluster.network().stats().by_kind;
+  for (std::size_t k = 0; k < net::kPayloadKinds; ++k) {
+    if (k == request || k == response) continue;
+    EXPECT_EQ(by_kind[k].load(), 0u) << net::payload_name_at(k);
+  }
+  EXPECT_GE(by_kind[request].load(), 2u);
+  EXPECT_GE(by_kind[response].load(), 2u);
+  cluster.shutdown();
+}
+
 TEST(Stress, ChildWritesAreValidatedOnlyByTheRootsLocks) {
   // On a fresh cluster every clock reads 0, so no reply forwards the root
   // and no forwarding round runs: the only validation rounds are the
@@ -244,8 +272,8 @@ TEST(Stress, LocallyOwnedTransactionIsCheap) {
   }).committed);
   cluster.network().wait_idle();
   const auto sent = cluster.network().stats().messages.load() - before;
-  // Self-fetch still rides the proxy (2 messages) and registration goes to
-  // the home node (2); locks and publication are local.
+  // Self-fetch still rides the proxy (2 messages); the lock, the
+  // registration at node 1, the object's home, and publication are local.
   EXPECT_LE(sent, 6u);
   cluster.shutdown();
 }

@@ -363,12 +363,12 @@ TEST(IntSetWorkloads, SequentialRunIsPinned) {
     std::uint64_t digest;
   };
   const Pin pins[] = {
-      {"linked-list", 1, 0x72432e738d3c5183ull},
-      {"linked-list", 2, 0xbf4a5e94484553d1ull},
-      {"bst", 1, 0x6502807a8764f3edull},
-      {"bst", 2, 0xecab5d69e46f5c0bull},
-      {"rb-tree", 1, 0x6160ab58f1eb41e5ull},
-      {"rb-tree", 2, 0xd7de2c662ebb286bull},
+      {"linked-list", 1, 0xed28fbf5bee48657ull},
+      {"linked-list", 2, 0x7df28355a96ade41ull},
+      {"bst", 1, 0xf5eb83ebaf2b2ecfull},
+      {"bst", 2, 0x518fb43cf48be8cbull},
+      {"rb-tree", 1, 0xe5d7d3650a45fa07ull},
+      {"rb-tree", 2, 0xd95d1bf7d448733full},
   };
   for (const Pin& pin : pins) {
     EXPECT_EQ(sequential_digest(pin.workload, pin.seed), pin.digest)
